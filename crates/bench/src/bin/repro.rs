@@ -25,6 +25,14 @@
 //! for every N, with and without `--overlap` — results always come back
 //! in profile order before rendering.
 //!
+//! The §3.2 incognito section pairs each of Edge, Opera and UC
+//! International's normal crawl with an incognito crawl. On every path
+//! the normal half is the population's own crawl analysis when the
+//! population holds the browser's profile (see
+//! [`IncognitoPlan`]); only the incognito crawls, plus a normal crawl
+//! for a browser outside the population, run as extra fleet units, each
+//! crawled and analysed on its worker.
+//!
 //! `--population N` runs the study over an N-browser population: the
 //! paper's 15 pinned browsers first, then deterministically sampled
 //! variants from the behaviour-model space (seeded by `--seed`). The
@@ -42,8 +50,9 @@
 //! and writes the span/event JSONL there. Both leave stdout — the
 //! reproduction tables — byte-identical to a run without them.
 
-use panoptes::campaign::run_crawl;
-use panoptes::fleet::{self, FleetOptions, FleetUnit};
+use std::io::Write as _;
+
+use panoptes::fleet::FleetOptions;
 use panoptes_analysis::engine::{
     analyze_crawl, analyze_idle, analyze_study_jobs, AnalysisResources, CampaignAnalysis,
     IdleAnalysis, StudyAnalyses,
@@ -53,8 +62,8 @@ use panoptes_bench::experiments::{
     crawl_population, crawl_population_jobs, idle_population, idle_population_jobs,
     study_population_overlapped, Scale,
 };
+use panoptes_bench::incognito::IncognitoPlan;
 use panoptes_bench::render;
-use panoptes_browsers::registry::profile_by_name;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -231,57 +240,23 @@ fn main() {
     }
 
     if want("incognito") {
-        eprintln!("incognito re-crawls (Edge / Opera / UC International)...");
-        let config = scale.config();
-        let incog = config.clone().incognito();
-        let browsers = ["Edge", "Opera", "UC International"];
-        let raw_pairs: Vec<_> = if jobs == Some(1) {
-            browsers
-                .iter()
-                .map(|name| {
-                    let p = profile_by_name(name).expect("known browser");
-                    let normal = run_crawl(&world, &p, &world.sites, &config);
-                    let incognito = run_crawl(&world, &p, &world.sites, &incog);
-                    (normal, incognito)
-                })
-                .collect()
-        } else {
-            // Six units (3 browsers x 2 modes) over one pool; the
-            // incognito units override the campaign config per-unit.
-            let units: Vec<FleetUnit> = browsers
-                .iter()
-                .flat_map(|name| {
-                    let p = profile_by_name(name).expect("known browser");
-                    [
-                        FleetUnit::crawl(p.clone()),
-                        FleetUnit::crawl(p).with_config(incog.clone()),
-                    ]
-                })
-                .collect();
-            let outputs =
-                match fleet::run_units(&world, &world.sites, &config, &units, &fleet_options) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        eprintln!("incognito fleet failed: {e}");
-                        std::process::exit(1);
-                    }
-                };
-            let mut crawls =
-                outputs.into_iter().filter_map(panoptes::fleet::UnitOutput::into_crawl);
-            browsers
-                .iter()
-                .map(|_| {
-                    let normal = crawls.next().expect("normal crawl");
-                    let incognito = crawls.next().expect("incognito crawl");
-                    (normal, incognito)
-                })
-                .collect()
+        // The population's crawls already hold the normal half of every
+        // pair whose profile it contains; only the incognito crawls (and
+        // a normal crawl for a browser outside the population) run here,
+        // each analysed on its own worker.
+        let plan = IncognitoPlan::new(results.iter().map(|r| &r.profile));
+        eprintln!(
+            "incognito crawls (Edge / Opera / UC International), {} unit(s)...",
+            plan.unit_count()
+        );
+        let unit_analyses = match plan.run(&world, &scale.config(), &res, &fleet_options) {
+            Ok(analyses) => analyses,
+            Err(e) => {
+                eprintln!("incognito fleet failed: {e}");
+                std::process::exit(1);
+            }
         };
-        let pairs: Vec<_> = raw_pairs
-            .iter()
-            .map(|(n, i)| (analyze_crawl(n, &res), analyze_crawl(i, &res)))
-            .collect();
-        print!("{}", render::incognito_section(&pairs).1);
+        print!("{}", render::incognito_section(&plan.pairs(&crawl_analyses, &unit_analyses)).1);
     }
 
     if let Some(dir) = &csv_dir {
@@ -355,4 +330,10 @@ fn main() {
         eprintln!("wrote {path} ({} trace events)", jsonl.lines().count());
     }
     eprintln!("done.");
+    // Every output is written. Exiting here skips the teardown of the
+    // captures still held (hundreds of MiB of flows at paper scale,
+    // freed allocation by allocation), which the OS reclaims at once.
+    // `exit` runs no destructors, so stdout is flushed by hand first.
+    std::io::stdout().flush().expect("flush stdout");
+    std::process::exit(0);
 }

@@ -14,6 +14,7 @@ pub mod ab;
 pub mod capture;
 pub mod capture_baseline;
 pub mod experiments;
+pub mod incognito;
 pub mod mem;
 pub mod perf;
 pub mod render;

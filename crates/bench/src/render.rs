@@ -6,6 +6,8 @@
 //! [`listing1`] is the one exception: it quotes a raw captured flow, so
 //! it still reads the campaign's store.
 
+use std::borrow::Borrow;
+
 use panoptes::campaign::CampaignResult;
 use panoptes_analysis::dns::ObservedResolver;
 use panoptes_analysis::engine::{CampaignAnalysis, IdleAnalysis};
@@ -142,12 +144,18 @@ pub fn dns_md(analyses: &[CampaignAnalysis]) -> String {
     out
 }
 
-/// §3.2: incognito comparison (normal vs incognito campaign pairs).
-pub fn incognito_md(pairs: &[(CampaignAnalysis, CampaignAnalysis)]) -> String {
+/// §3.2: incognito comparison (normal vs incognito campaign pairs),
+/// owned or borrowed.
+pub fn incognito_md<N, I>(pairs: &[(N, I)]) -> String
+where
+    N: Borrow<CampaignAnalysis>,
+    I: Borrow<CampaignAnalysis>,
+{
     let mut out = String::from(
         "## §3.2 — Incognito mode\n\n| Browser | Normal | Incognito | Still leaks |\n|---|---|---|---|\n",
     );
     for (normal, incog) in pairs {
+        let (normal, incog) = (normal.borrow(), incog.borrow());
         let row = compare_leaks(&normal.browser, &normal.history_leaks, &incog.history_leaks);
         out.push_str(&format!(
             "| {} | {} | {} | {} |\n",
@@ -378,7 +386,9 @@ pub fn leak_summary_md(analyses: &[CampaignAnalysis]) -> String {
 // The document comes in three dependency groups, matching what a
 // streaming producer has ready when: [`header_md`] (world parameters
 // only), [`crawl_sections`] (crawl analyses), [`incognito_section`]
-// (the three §3.2 re-crawl pairs), [`idle_sections`] (idle analyses).
+// (the three §3.2 normal/incognito pairs, planned by
+// [`crate::incognito::IncognitoPlan`]), [`idle_sections`] (idle
+// analyses).
 
 use crate::experiments::Scale;
 
@@ -417,10 +427,12 @@ pub fn crawl_sections(
     ]
 }
 
-/// The §3.2 incognito section from the three re-crawl pairs.
-pub fn incognito_section(
-    pairs: &[(CampaignAnalysis, CampaignAnalysis)],
-) -> (&'static str, String) {
+/// The §3.2 incognito section from the three normal/incognito pairs.
+pub fn incognito_section<N, I>(pairs: &[(N, I)]) -> (&'static str, String)
+where
+    N: Borrow<CampaignAnalysis>,
+    I: Borrow<CampaignAnalysis>,
+{
     ("incognito", format!("{}\n", incognito_md(pairs)))
 }
 
@@ -434,13 +446,17 @@ pub fn idle_sections(analyses: &[IdleAnalysis]) -> Vec<(&'static str, String)> {
 
 /// The complete study document: header + every section in `repro`
 /// order — the byte-identity reference for served studies.
-pub fn full_doc(
+pub fn full_doc<N, I>(
     scale: &Scale,
     results: &[CampaignResult],
     crawls: &[CampaignAnalysis],
-    incognito_pairs: &[(CampaignAnalysis, CampaignAnalysis)],
+    incognito_pairs: &[(N, I)],
     idles: &[IdleAnalysis],
-) -> String {
+) -> String
+where
+    N: Borrow<CampaignAnalysis>,
+    I: Borrow<CampaignAnalysis>,
+{
     let mut out = header_md(scale);
     for (_, text) in crawl_sections(results, crawls) {
         out.push_str(&text);

@@ -143,9 +143,12 @@ impl EngineSession {
         host: &str,
         stats: &mut EngineStats,
     ) {
-        if !self.dns_cache.insert(host.to_string()) {
+        // Probe before inserting: cache hits (most requests) must not
+        // allocate the owned key.
+        if self.dns_cache.contains(host) {
             return;
         }
+        self.dns_cache.insert(host.to_string());
         match self.resolver {
             ResolverKind::LocalStub => {
                 let _ = net.resolve_stub(client.uid, host);

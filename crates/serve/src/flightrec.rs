@@ -196,11 +196,14 @@ impl FlightRecorder {
     }
 
     /// Deregisters a study and records how it ended
-    /// (`study.done` / `study.error` / `study.disconnect`).
-    pub fn study_finished(&self, request: u64, kind: &'static str, detail: String) {
+    /// (`study.done` / `study.error` / `study.disconnect`), with its
+    /// final unit progress appended to `detail` as `units=DONE/TOTAL`.
+    pub fn study_finished(&self, request: u64, kind: &'static str, mut detail: String) {
         let t_ms = self.now_ms();
         let mut inner = self.inner.lock().expect("flightrec lock");
-        inner.active.remove(&request);
+        if let Some(study) = inner.active.remove(&request) {
+            detail.push_str(&format!(" units={}/{}", study.done, study.total));
+        }
         if inner.ring.len() >= self.capacity {
             inner.ring.pop_front();
             inner.dropped += 1;
@@ -429,6 +432,7 @@ mod tests {
         assert!(dump.contains("\"done\":2,\"total\":14"));
         rec.study_finished(3, "study.done", "ok".into());
         let after = rec.dump_to_string("again", "lanes=0");
+        assert!(after.contains("\"detail\":\"ok units=2/14\""), "final progress recorded");
         assert!(
             !after.contains("\"ev\":\"study\""),
             "finished study deregisters"

@@ -4,15 +4,20 @@
 //!
 //! A study at parameters `(seed, sites, population, idle)` is exactly
 //! the offline reproduction document: header, the twelve
-//! crawl-derived sections, the §3.2 incognito section (three re-crawl
-//! pairs), and the two idle sections. The runner schedules every
-//! campaign unit — `population` crawls, six incognito crawls,
-//! `population` idles — as individual jobs on the server's shared
-//! [`WorkPool`] lane for this request, analyses each capture on the
-//! request's own handler thread as it seals, and emits each section
-//! group the moment its inputs are complete. Concatenating the
-//! streamed `header`/`section` payload bytes reproduces `repro`'s
-//! stdout exactly (enforced by `tests/serve_determinism.rs`).
+//! crawl-derived sections, the §3.2 incognito section (three
+//! normal/incognito pairs), and the two idle sections. The runner
+//! schedules every campaign unit — `population` crawls, the §3.2
+//! [`IncognitoPlan`]'s units, `population` idles — as individual jobs
+//! on the server's shared [`WorkPool`] lane for this request, analyses
+//! each capture on the request's own handler thread as it seals, and
+//! emits each section group the moment its inputs are complete. The
+//! plan reuses the population's crawl as the normal half of each pair
+//! whose profile the population holds, so at `population >= 15` it
+//! adds just the three incognito crawls (`2n + 3` units; `2n + 4` at
+//! `n = 6`, where UC International is not in the population and gets a
+//! normal re-crawl). Concatenating the streamed `header`/`section`
+//! payload bytes reproduces `repro`'s stdout exactly (enforced by
+//! `tests/serve_determinism.rs`).
 //!
 //! Backpressure: the lane is opened with a small credit allowance and
 //! a credit is granted back only after the already-received unit has
@@ -39,9 +44,10 @@ use panoptes_analysis::engine::{
     analyze_crawl, analyze_idle, AnalysisResources, CampaignAnalysis, IdleAnalysis,
 };
 use panoptes_bench::experiments::Scale;
+use panoptes_bench::incognito::IncognitoPlan;
 use panoptes_bench::render;
 use panoptes_blocklist::filterlist::easylist_excerpt;
-use panoptes_browsers::registry::{population, profile_by_name};
+use panoptes_browsers::registry::population;
 use panoptes_browsers::BrowserProfile;
 use panoptes_simnet::SimDuration;
 use panoptes_web::generator::GeneratorConfig;
@@ -50,10 +56,6 @@ use panoptes_web::World;
 use crate::cache::ArtifactCache;
 use crate::flightrec::FlightRecorder;
 use crate::json;
-
-/// The §3.2 incognito browsers, re-crawled normal + incognito — same
-/// set and order as `repro`.
-const INCOGNITO_BROWSERS: [&str; 3] = ["Edge", "Opera", "UC International"];
 
 /// One study request's parameters (the query string of `GET /study`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -379,8 +381,9 @@ impl StudyEngine {
         req: RequestInfo,
     ) -> Result<StudyOutcome, StudyError> {
         panoptes_obs::gauge_add!("serve.studies.inflight", 1);
-        self.recorder
-            .study_started(req.id, params.repro_args(), 2 * params.population + 6);
+        // No units yet: `build_streaming` reports the planned total once
+        // it has planned them, and a cached replay plans none.
+        self.recorder.study_started(req.id, params.repro_args(), 0);
         let mut phases = Phases {
             admission_us: req.admission_us,
             ..Phases::default()
@@ -559,26 +562,23 @@ impl StudyEngine {
         sink.event(&ev_header(&tag, &header))
             .map_err(StudyError::Disconnected)?;
 
-        // Unit plan, in submission order: `n` crawls, the three §3.2
-        // browsers re-crawled normal+incognito, `n` idles — exactly
-        // the offline study's unit set.
+        // Unit plan, in submission order: `n` crawls, the §3.2 plan's
+        // incognito units (a normal re-crawl only for a pinned browser
+        // the population lacks), `n` idles — exactly the offline
+        // study's unit set.
         let n = arts.profiles.len();
-        let incog_config = arts.config.clone().incognito();
-        let mut units: Vec<FleetUnit> = Vec::with_capacity(2 * n + 6);
+        let plan = IncognitoPlan::new(arts.profiles.iter());
+        let k = plan.unit_count();
+        let mut units: Vec<FleetUnit> = Vec::with_capacity(2 * n + k);
         for p in arts.profiles.iter() {
             units.push(FleetUnit::crawl(p.clone()));
         }
-        for name in INCOGNITO_BROWSERS {
-            let Some(p) = profile_by_name(name) else {
-                return Err(StudyError::Fleet(format!("unknown pinned browser {name}")));
-            };
-            units.push(FleetUnit::crawl(p.clone()));
-            units.push(FleetUnit::crawl(p).with_config(incog_config.clone()));
-        }
+        units.extend(plan.units(&arts.config.clone().incognito()));
         for p in arts.profiles.iter() {
             units.push(FleetUnit::idle(p.clone(), scale.idle));
         }
         let total = units.len();
+        self.recorder.study_progress(req.id, 0, total);
 
         self.pool.open_lane(lane, self.credits);
         let mut lane_guard = LaneGuard {
@@ -630,8 +630,10 @@ impl StudyEngine {
         let mut crawl_results: Vec<Option<panoptes::campaign::CampaignResult>> =
             (0..n).map(|_| None).collect();
         let mut crawl_analyses: Vec<Option<CampaignAnalysis>> = (0..n).map(|_| None).collect();
-        let mut incog_results: Vec<Option<panoptes::campaign::CampaignResult>> =
-            (0..6).map(|_| None).collect();
+        // The population analyses outlive crawl emission: the §3.2
+        // pairs borrow their normal halves.
+        let mut population_analyses: Vec<CampaignAnalysis> = Vec::new();
+        let mut incog_analyses: Vec<Option<CampaignAnalysis>> = (0..k).map(|_| None).collect();
         let mut idle_analyses: Vec<Option<IdleAnalysis>> = (0..n).map(|_| None).collect();
         let (mut crawls_done, mut incogs_done, mut idles_done) = (0usize, 0usize, 0usize);
         let (mut crawl_emitted, mut incog_emitted, mut idle_emitted) = (false, false, false);
@@ -654,11 +656,13 @@ impl StudyEngine {
                     crawls_done += 1;
                 }
                 UnitOutput::Crawl(result) => {
-                    incog_results[idx - n] = Some(result);
+                    incog_analyses[idx - n] = Some(timed(&mut phases.analysis_us, || {
+                        analyze_crawl(&result, &arts.res)
+                    }));
                     incogs_done += 1;
                 }
                 UnitOutput::Idle(result) => {
-                    idle_analyses[idx - n - 6] =
+                    idle_analyses[idx - n - k] =
                         Some(timed(&mut phases.analysis_us, || analyze_idle(&result)));
                     idles_done += 1;
                 }
@@ -669,9 +673,9 @@ impl StudyEngine {
 
             if !crawl_emitted && crawls_done == n {
                 let results: Vec<_> = crawl_results.drain(..).flatten().collect();
-                let analyses: Vec<_> = crawl_analyses.drain(..).flatten().collect();
+                population_analyses = crawl_analyses.drain(..).flatten().collect();
                 let rendered = timed(&mut phases.render_us, || {
-                    render::crawl_sections(&results, &analyses)
+                    render::crawl_sections(&results, &population_analyses)
                 });
                 for (name, text) in rendered {
                     sink.event(&ev_section(name, &text))
@@ -680,18 +684,9 @@ impl StudyEngine {
                 }
                 crawl_emitted = true;
             }
-            if crawl_emitted && !incog_emitted && incogs_done == 6 {
-                let raw: Vec<_> = incog_results.drain(..).flatten().collect();
-                let pairs: Vec<_> = timed(&mut phases.analysis_us, || {
-                    raw.chunks(2)
-                        .map(|pair| {
-                            (
-                                analyze_crawl(&pair[0], &arts.res),
-                                analyze_crawl(&pair[1], &arts.res),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                });
+            if crawl_emitted && !incog_emitted && incogs_done == k {
+                let analysed: Vec<_> = incog_analyses.drain(..).flatten().collect();
+                let pairs = plan.pairs(&population_analyses, &analysed);
                 let (name, text) =
                     timed(&mut phases.render_us, || render::incognito_section(&pairs));
                 sink.event(&ev_section(name, &text))

@@ -9,12 +9,29 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use panoptes_serve::doctor;
+use panoptes_bench::incognito::IncognitoPlan;
+use panoptes_browsers::registry::population;
+use panoptes_serve::{doctor, json};
 use panoptes_serve::flightrec::Watchdog;
 use panoptes_serve::study::{EventSink, RequestInfo, StudyEngine, StudyParams};
 
 fn params(seed: u64) -> StudyParams {
     StudyParams { seed, popular: 6, sensitive: 4, tail: 0, population: 5, idle_secs: 60 }
+}
+
+/// The units a study at `p` schedules: a crawl and an idle run per
+/// browser plus the §3.2 plan's units.
+fn planned_units(p: &StudyParams) -> u64 {
+    let profiles = population(p.seed, p.population);
+    (2 * p.population + IncognitoPlan::new(&profiles).unit_count()) as u64
+}
+
+/// `(done, total)` of a `progress` event line.
+fn progress_of(line: &str) -> Option<(u64, u64)> {
+    if json::field(line, "event").as_deref() != Some("progress") {
+        return None;
+    }
+    Some((json::uint_field(line, "done")?, json::uint_field(line, "total")?))
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -109,6 +126,38 @@ fn watchdog_lets_a_slow_but_progressing_study_finish_undisturbed() {
 }
 
 #[test]
+fn finished_studies_end_with_every_planned_unit_done() {
+    let engine = StudyEngine::new(2, Some(64 << 20));
+    let p = params(0xF12);
+    let planned = planned_units(&p);
+    // Built, then replayed from the document cache (which plans no
+    // units): each ends with done == total, on the stream and in the
+    // recorder's `study.done` event.
+    for (label, units) in [("built", planned), ("replay", 0)] {
+        let req = RequestInfo::local();
+        let mut events: Vec<String> = Vec::new();
+        engine.run_streaming(&p, &mut events, req).expect("study runs");
+        let last = events.iter().rev().find_map(|l| progress_of(l));
+        if units > 0 {
+            assert_eq!(last, Some((units, units)), "{label}: stream ends with done == total");
+        } else {
+            assert_eq!(last, None, "{label}: a replay streams no unit progress");
+        }
+        let dump = doctor::parse_flight_dump(&engine.recorder().dump_to_string("check", ""))
+            .expect("doctor parses the recorder");
+        let (_, _, _, detail) = dump
+            .events
+            .iter()
+            .find(|(_, r, kind, _)| *r == req.id && kind == "study.done")
+            .expect("study.done recorded");
+        assert!(
+            detail.ends_with(&format!(" units={units}/{units}")),
+            "{label}: recorder ends with done == total: {detail}"
+        );
+    }
+}
+
+#[test]
 fn watchdog_dumps_a_wedged_lane_once_and_recovers() {
     let dir = fresh_dir("wedged");
     let engine = Arc::new(StudyEngine::new(2, None));
@@ -153,7 +202,8 @@ fn watchdog_dumps_a_wedged_lane_once_and_recovers() {
         .iter()
         .find(|s| s.request == wedged_request)
         .expect("wedged study is in the dump");
-    assert!(study.total > 0 && study.done < study.total, "dump shows partial progress");
+    assert_eq!(study.total, planned_units(&params(0xDEAD)), "dump shows the planned total");
+    assert!(study.done < study.total, "dump shows partial progress");
     assert!(
         dump.events.iter().any(|(_, r, kind, _)| *r == wedged_request && kind == "study.start"),
         "ring retains the study's start event"
