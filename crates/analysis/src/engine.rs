@@ -1,4 +1,4 @@
-//! The fused, sharded, overlapped study engine.
+//! The fused, sharded study engine.
 //!
 //! The legacy analysis path walks each capture once **per detector** —
 //! ~10 independent passes over the same snapshot. This module turns the
@@ -14,38 +14,28 @@
 //!   ([`analyze_crawl_sharded`]). Because every partial's merge is
 //!   either order-insensitive (sums, set unions) or explicitly ordered
 //!   (first-occurrence fields), the merged report is byte-identical to
-//!   the sequential one for any shard count;
-//! * **overlapped** — [`run_full_study_analyzed`] removes the
-//!   capture→analysis barrier: fleet units hand their sealed captures
-//!   to analysis workers over a bounded channel the moment each unit
-//!   finishes, so detectors run while other browsers are still
-//!   crawling. The per-unit analyses land in submission-order slots, so
-//!   the global aggregation is byte-identical to the sequential study.
+//!   the sequential one for any shard count.
+//!
+//! Capture→analysis overlap lives one layer up, in the study pipeline
+//! (`panoptes_bench::pipeline`): each unit's capture is analysed on the
+//! worker that produced it while other workers are still crawling.
 //!
 //! `tests/study_engine_determinism.rs` (workspace root) enforces the
-//! byte-identity across all three paths end-to-end.
+//! byte-identity across these paths and the pipeline end-to-end.
 
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 
 use panoptes::campaign::CampaignResult;
-use panoptes::config::CampaignConfig;
-use panoptes::fleet::{
-    self, FleetError, FleetFailure, FleetOptions, FleetUnit, StudyOutput, UnitOutput,
-};
+use panoptes::fleet::{self, FleetError, FleetOptions};
 use panoptes::idle::IdleResult;
 use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_blocklist::HostsList;
-use panoptes_browsers::registry::all_profiles;
 use panoptes_device::DeviceProperties;
 use panoptes_geo::GeoDb;
 use panoptes_http::url::Url;
 use panoptes_mitm::FlowClass;
 use panoptes_simnet::clock::SimDuration;
-use panoptes_web::site::SiteSpec;
-use panoptes_web::World;
 
 use crate::addomains::{AdDomainPartial, AdDomainRow};
 use crate::cost::{CostPartial, CostRow, EnergyModel};
@@ -544,182 +534,15 @@ pub fn analyze_study_jobs(
     })
 }
 
-/// One unit's analysis, crawl or idle — the overlapped pipeline's
-/// per-unit product. The crawl side is boxed: a `CampaignAnalysis`
-/// carries every §3 table row and the variants would otherwise differ
-/// by ~400 bytes.
-enum UnitAnalysis {
-    Crawl(Box<CampaignAnalysis>),
-    Idle(IdleAnalysis),
-}
-
-/// A fully captured **and** analysed study: the raw campaign results
-/// (for exports that need flows, e.g. HAR or Listing 1) plus every
-/// per-campaign analysis.
-pub struct AnalyzedStudy {
-    /// The raw captures, in profile order.
-    pub results: StudyOutput,
-    /// The per-campaign analyses, in profile order.
-    pub analyses: StudyAnalyses,
-}
-
-/// Runs the full study (crawl + idle per browser) with the
-/// capture→analysis barrier removed: fleet units stream their sealed
-/// captures to analysis workers over a bounded channel as soon as each
-/// unit finishes, so detectors run while other browsers are still
-/// crawling. Per-unit analyses land in submission-order slots and the
-/// cross-browser aggregation merges them in that order, making the
-/// output byte-identical to capture-everything-then-analyse.
-///
-/// Panic isolation matches the fleet's: a panicking capture unit or
-/// analysis worker fails only its own unit, and the error reports every
-/// failure with its unit label.
-pub fn run_full_study_analyzed(
-    world: &World,
-    sites: &[SiteSpec],
-    config: &CampaignConfig,
-    idle: SimDuration,
-    options: &FleetOptions,
-    res: &AnalysisResources,
-) -> Result<AnalyzedStudy, FleetError<()>> {
-    run_study_analyzed_with(world, sites, config, idle, options, res, &all_profiles())
-}
-
-/// [`run_full_study_analyzed`] over an explicit browser population —
-/// the paper's 15 pinned browsers, a Table 1 prefix, or a sampled
-/// population from [`panoptes_browsers::registry::population`]. The
-/// overlap machinery is population-agnostic: determinism across worker
-/// counts holds for any profile list (see
-/// `tests/population_determinism.rs`).
-pub fn run_study_analyzed_with(
-    world: &World,
-    sites: &[SiteSpec],
-    config: &CampaignConfig,
-    idle: SimDuration,
-    options: &FleetOptions,
-    res: &AnalysisResources,
-    profiles: &[panoptes_browsers::BrowserProfile],
-) -> Result<AnalyzedStudy, FleetError<()>> {
-    let _span = panoptes_obs::trace::span("study.overlapped");
-    let mut units = Vec::with_capacity(profiles.len() * 2);
-    for profile in profiles {
-        units.push(FleetUnit::crawl(profile.clone()));
-    }
-    for profile in profiles {
-        units.push(FleetUnit::idle(profile.clone(), idle));
-    }
-    let labels: Vec<String> = units.iter().map(FleetUnit::label).collect();
-    let n = units.len();
-    let jobs = options.effective_jobs(n);
-
-    // The hand-off queue: capture workers block (backpressure) once
-    // `jobs` sealed captures are waiting for analysis.
-    let (tx, rx) = sync_channel::<(usize, UnitOutput)>(jobs);
-    let rx = Mutex::new(rx);
-
-    let output_slots: Mutex<Vec<Option<UnitOutput>>> = Mutex::new((0..n).map(|_| None).collect());
-    let analysis_slots: Mutex<Vec<Option<UnitAnalysis>>> =
-        Mutex::new((0..n).map(|_| None).collect());
-    let analysis_failures: Mutex<Vec<FleetFailure>> = Mutex::new(Vec::new());
-
-    // One analysis worker per fleet worker: with an idle pool the
-    // analyses of early-finishing units overlap the remaining captures.
-    let analysis_workers = jobs;
-
-    // Hand the caller's request context across the analysis-worker
-    // boundary: overlapped analyses of a served study keep its id.
-    let ctx = panoptes_obs::ctx::current();
-    let capture_outcome = std::thread::scope(|scope| {
-        for _ in 0..analysis_workers {
-            scope.spawn(|| {
-                let _ctx = ctx.map(panoptes_obs::ctx::enter);
-                loop {
-                    let message = rx.lock().unwrap().recv();
-                    let Ok((index, output)) = message else {
-                        break; // channel closed: capture side is done
-                    };
-                    panoptes_obs::gauge_add!("study.overlap.occupancy", -1);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| match &output {
-                        UnitOutput::Crawl(result) => {
-                            UnitAnalysis::Crawl(Box::new(analyze_crawl(result, res)))
-                        }
-                        UnitOutput::Idle(result) => UnitAnalysis::Idle(analyze_idle(result)),
-                    }));
-                    match outcome {
-                        Ok(analysis) => analysis_slots.lock().unwrap()[index] = Some(analysis),
-                        Err(payload) => analysis_failures.lock().unwrap().push(FleetFailure {
-                            unit: format!("{} analysis", labels[index]),
-                            index,
-                            message: fleet::panic_message(payload.as_ref()),
-                        }),
-                    }
-                    output_slots.lock().unwrap()[index] = Some(output);
-                }
-            });
-        }
-
-        let runner = |index: usize| {
-            let output = fleet::run_unit(world, sites, config, &units[index]);
-            // The occupancy gauge tracks sealed captures sitting in the
-            // hand-off queue; its high-water mark shows how often the
-            // analysis side was the bottleneck.
-            panoptes_obs::gauge_add!("study.overlap.occupancy", 1);
-            tx.send((index, output))
-                .expect("analysis workers outlive the capture fleet");
-        };
-        let outcome = fleet::execute(&labels, options, runner);
-        drop(tx); // close the queue so analysis workers drain and exit
-        outcome
-    });
-
-    let mut failures = match capture_outcome {
-        Ok(_) => Vec::new(),
-        Err(e) => e.failures,
-    };
-    failures.extend(analysis_failures.into_inner().unwrap());
-    if !failures.is_empty() {
-        failures.sort_by_key(|f| f.index);
-        return Err(FleetError {
-            failures,
-            completed: (0..n).map(|_| None).collect(),
-        });
-    }
-
-    let mut crawls = Vec::with_capacity(profiles.len());
-    let mut idle_results = Vec::with_capacity(profiles.len());
-    for output in output_slots.into_inner().unwrap() {
-        match output.expect("no failure recorded") {
-            UnitOutput::Crawl(result) => crawls.push(result),
-            UnitOutput::Idle(result) => idle_results.push(result),
-        }
-    }
-    let mut crawl_analyses = Vec::with_capacity(profiles.len());
-    let mut idle_analyses = Vec::with_capacity(profiles.len());
-    for analysis in analysis_slots.into_inner().unwrap() {
-        match analysis.expect("no failure recorded") {
-            UnitAnalysis::Crawl(a) => crawl_analyses.push(*a),
-            UnitAnalysis::Idle(a) => idle_analyses.push(a),
-        }
-    }
-    Ok(AnalyzedStudy {
-        results: StudyOutput {
-            crawls,
-            idles: idle_results,
-        },
-        analyses: StudyAnalyses {
-            crawls: crawl_analyses,
-            idles: idle_analyses,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use panoptes::campaign::run_crawl;
+    use panoptes::config::CampaignConfig;
     use panoptes::idle::run_idle;
     use panoptes_browsers::registry::profile_by_name;
     use panoptes_web::generator::GeneratorConfig;
+    use panoptes_web::World;
 
     use crate::addomains::ad_domain_row;
     use crate::cost::cost_row;
@@ -823,42 +646,6 @@ mod tests {
                 sharded.destination_shares(),
                 sequential.destination_shares(),
                 "jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
-    fn overlapped_study_matches_barrier_study() {
-        let world = small_world();
-        let config = CampaignConfig::default();
-        let res = AnalysisResources::standard();
-        let idle = SimDuration::from_secs(60);
-        let overlapped = run_full_study_analyzed(
-            &world,
-            &world.sites,
-            &config,
-            idle,
-            &FleetOptions::with_jobs(4),
-            &res,
-        )
-        .expect("no failures");
-        assert_eq!(overlapped.results.crawls.len(), 15);
-        assert_eq!(overlapped.results.idles.len(), 15);
-        let barrier = analyze_study(&overlapped.results.crawls, &overlapped.results.idles, &res);
-        for (o, b) in overlapped.analyses.crawls.iter().zip(&barrier.crawls) {
-            assert_eq!(o.browser, b.browser);
-            assert_eq!(o.volume, b.volume, "{}", o.browser);
-            assert_eq!(o.history_leaks, b.history_leaks, "{}", o.browser);
-            assert_eq!(o.pii, b.pii, "{}", o.browser);
-        }
-        let bucket = SimDuration::from_secs(30);
-        for (o, b) in overlapped.analyses.idles.iter().zip(&barrier.idles) {
-            assert_eq!(o.timeline(bucket), b.timeline(bucket), "{}", o.browser);
-            assert_eq!(
-                o.destination_shares(),
-                b.destination_shares(),
-                "{}",
-                o.browser
             );
         }
     }

@@ -23,9 +23,7 @@
 //! * [`idle`] — Figure 5 timelines and §3.5 destination shares,
 //! * [`engine`] — the fused single-pass study engine: every detector's
 //!   mergeable `Partial` folded in one iteration over the capture,
-//!   sharded across the fleet pool, with a capture→analysis overlap
-//!   driver,
-//! * [`study`] — the full 15-browser study orchestration,
+//!   sharded across the fleet pool,
 //! * [`summary`] — a machine-readable JSON document of every result,
 //! * [`compare`] — per-browser deltas between two studies (longitudinal
 //!   / A-B workflows),
@@ -50,7 +48,6 @@ pub mod incognito;
 pub mod pii;
 pub mod scan;
 pub mod sensitive;
-pub mod study;
 pub mod summary;
 pub mod transfers;
 pub mod volume;

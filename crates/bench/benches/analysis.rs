@@ -15,12 +15,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+use panoptes::campaign::run_crawl;
+use panoptes::idle::run_idle;
 use panoptes_analysis::facts::capture_facts;
 use panoptes_analysis::scan::{decodings, observations};
-use panoptes_analysis::study::{run_full_crawl, run_full_idle};
 use panoptes_analysis::summary::study_report;
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::perf;
+use panoptes_browsers::registry::all_profiles;
 use panoptes_simnet::clock::SimDuration;
 
 /// Passes a full study makes over each capture (history runs the
@@ -31,7 +33,8 @@ fn extraction(c: &mut Criterion) {
     let scale = Scale::quick();
     let world = scale.world();
     let config = scale.config();
-    let crawls = run_full_crawl(&world, &world.sites, &config);
+    let crawls: Vec<_> =
+        all_profiles().iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect();
     let total_flows: u64 = crawls.iter().map(|r| r.store.len() as u64).sum();
 
     let mut group = c.benchmark_group("analysis_extraction_quick");
@@ -76,8 +79,13 @@ fn full_report(c: &mut Criterion) {
     let scale = Scale::quick();
     let world = scale.world();
     let config = scale.config();
-    let crawls = run_full_crawl(&world, &world.sites, &config);
-    let idles = run_full_idle(&world, SimDuration::from_secs(120), &config);
+    let profiles = all_profiles();
+    let crawls: Vec<_> =
+        profiles.iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect();
+    let idles: Vec<_> = profiles
+        .iter()
+        .map(|p| run_idle(&world, p, SimDuration::from_secs(120), &config))
+        .collect();
     let total_flows: u64 = crawls.iter().map(|r| r.store.len() as u64).sum::<u64>()
         + idles.iter().map(|r| r.store.len() as u64).sum::<u64>();
 

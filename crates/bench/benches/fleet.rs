@@ -8,9 +8,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use panoptes::fleet::FleetOptions;
-use panoptes_analysis::study::{run_full_crawl, run_full_idle, run_full_study_jobs};
-use panoptes_bench::experiments::Scale;
+use panoptes::fleet::{self, FleetOptions, FleetUnit};
+use panoptes_bench::experiments::{population_for, Scale};
 use panoptes_simnet::clock::SimDuration;
 
 fn fleet_full_study(c: &mut Criterion) {
@@ -18,6 +17,9 @@ fn fleet_full_study(c: &mut Criterion) {
     let world = scale.world();
     let config = scale.config();
     let idle = SimDuration::from_secs(120);
+    let profiles = population_for(&scale, 15);
+    let mut units: Vec<FleetUnit> = profiles.iter().cloned().map(FleetUnit::crawl).collect();
+    units.extend(profiles.into_iter().map(|p| FleetUnit::idle(p, idle)));
     let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // On a single-core host the pool can't beat sequential; still bench
     // a 4-wide pool so the executor's overhead stays visible.
@@ -26,25 +28,14 @@ fn fleet_full_study(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_full_study_quick");
     group.sample_size(5);
     group.throughput(Throughput::Elements(30)); // 15 crawl + 15 idle units
-    group.bench_function("jobs=1 (sequential)", |b| {
-        b.iter(|| {
-            let crawls = run_full_crawl(&world, &world.sites, &config);
-            let idles = run_full_idle(&world, idle, &config);
-            black_box((crawls, idles))
-        })
-    });
-    for jobs in [2, wide] {
+    // One worker runs the units in order on the calling thread.
+    for jobs in [1, 2, wide] {
         group.bench_function(&format!("jobs={jobs}"), |b| {
             b.iter(|| {
+                let options = FleetOptions::with_jobs(jobs);
                 black_box(
-                    run_full_study_jobs(
-                        &world,
-                        &world.sites,
-                        &config,
-                        idle,
-                        &FleetOptions::with_jobs(jobs),
-                    )
-                    .expect("no unit failures"),
+                    fleet::run_units(&world, &world.sites, &config, &units, &options)
+                        .expect("no unit failures"),
                 )
             })
         });

@@ -8,16 +8,19 @@
 //!    and merge overhead the determinism guarantee costs.
 //!
 //! `src/bin/bench_study.rs` records the same comparisons (plus the
-//! capture→analysis overlap) as `BENCH_study.json`.
+//! study pipeline end to end) as `BENCH_study.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+use panoptes::campaign::run_crawl;
 use panoptes::fleet::FleetOptions;
+use panoptes::idle::run_idle;
 use panoptes_analysis::engine::{
     analyze_crawl_sharded, analyze_study, AnalysisResources, StudyAnalyses,
 };
 use panoptes_analysis::summary::{study_report_from, study_report_multipass};
 use panoptes_bench::experiments::Scale;
+use panoptes_browsers::registry::all_profiles;
 use panoptes_simnet::clock::SimDuration;
 
 fn study_engine(c: &mut Criterion) {
@@ -25,8 +28,11 @@ fn study_engine(c: &mut Criterion) {
     scale.idle = SimDuration::from_secs(120);
     let world = scale.world();
     let config = scale.config();
-    let crawls = panoptes_analysis::study::run_full_crawl(&world, &world.sites, &config);
-    let idles = panoptes_analysis::study::run_full_idle(&world, scale.idle, &config);
+    let profiles = all_profiles();
+    let crawls: Vec<_> =
+        profiles.iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect();
+    let idles: Vec<_> =
+        profiles.iter().map(|p| run_idle(&world, p, scale.idle, &config)).collect();
     let res = AnalysisResources::standard();
     let total_flows: u64 = crawls.iter().map(|r| r.store.len() as u64).sum::<u64>()
         + idles.iter().map(|r| r.store.len() as u64).sum::<u64>();

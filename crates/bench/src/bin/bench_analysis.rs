@@ -26,13 +26,15 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use panoptes::campaign::{run_crawl, CampaignResult};
+use panoptes::idle::run_idle;
 use panoptes_analysis::facts::capture_facts;
 use panoptes_analysis::scan::{decodings, observations};
-use panoptes_analysis::study::{run_full_crawl, run_full_idle};
 use panoptes_analysis::summary::study_report;
 use panoptes_bench::ab::{self, AbConfig, ArmStats};
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::{mem, perf};
+use panoptes_browsers::registry::all_profiles;
 use panoptes_simnet::clock::SimDuration;
 
 #[global_allocator]
@@ -61,8 +63,15 @@ fn main() {
     let scale = Scale::quick();
     let world = scale.world();
     let config = scale.config();
-    let crawls = run_full_crawl(&world, &world.sites, &config);
-    let idles = run_full_idle(&world, SimDuration::from_secs(120), &config);
+    let profiles = all_profiles();
+    let capture_crawls = || -> Vec<CampaignResult> {
+        profiles.iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect()
+    };
+    let crawls = capture_crawls();
+    let idles: Vec<_> = profiles
+        .iter()
+        .map(|p| run_idle(&world, p, SimDuration::from_secs(120), &config))
+        .collect();
     let crawl_flows: u64 = crawls.iter().map(|r| r.store.len() as u64).sum();
     let total_flows: u64 =
         crawl_flows + idles.iter().map(|r| r.store.len() as u64).sum::<u64>();
@@ -76,7 +85,7 @@ fn main() {
     let extraction = ab::isolated(
         protocol,
         "cloning_reparse",
-        || run_full_crawl(&world, &world.sites, &config),
+        capture_crawls,
         |fresh| {
             let mut sink = 0usize;
             for r in &fresh {
@@ -91,7 +100,7 @@ fn main() {
             clone_sinks.push(sink);
         },
         "snapshot_facts",
-        || run_full_crawl(&world, &world.sites, &config),
+        capture_crawls,
         |fresh| {
             let mut sink = 0usize;
             for r in &fresh {

@@ -31,7 +31,7 @@
 use panoptes::fleet::FleetOptions;
 use panoptes_analysis::engine::{analyze_study, AnalysisResources};
 use panoptes_bench::ab::{self, AbConfig};
-use panoptes_bench::experiments::{crawl_all_jobs, Scale};
+use panoptes_bench::experiments::{crawl_population_jobs, Scale};
 use panoptes_obs::metrics::{MetricValue, MetricsSnapshot};
 use panoptes_obs::{trace, METRICS, TRACE};
 
@@ -177,7 +177,7 @@ fn main() {
     // The capture+study path under test. Returns the per-browser flow
     // stores as JSONL for the byte-identity check.
     let run_path = |exports: Option<&mut Vec<String>>| {
-        let (_, results) = crawl_all_jobs(&scale, &options).expect("crawl fleet");
+        let (_, results) = crawl_population_jobs(&scale, &options, 15).expect("crawl fleet");
         std::hint::black_box(analyze_study(&results, &[], &res).crawls.len());
         if let Some(exports) = exports {
             *exports = results.iter().map(|r| r.store.export_jsonl()).collect();

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use panoptes::fleet::FleetOptions;
-use panoptes_bench::experiments::{crawl_population, crawl_population_jobs, Scale};
+use panoptes_bench::experiments::{crawl_population_jobs, Scale};
 
 fn main() {
     let mut out_path = "BENCH_population.json".to_string();
@@ -42,7 +42,11 @@ fn main() {
     // sequential loop.
     let n_check = *ns.last().unwrap();
     eprintln!("validating jobs-8 vs sequential captures at N={n_check}…");
-    let (_, sequential) = crawl_population(&scale, n_check);
+    let sequential_crawl = |n: usize| {
+        // One worker: the fleet runs every unit in order on this thread.
+        crawl_population_jobs(&scale, &FleetOptions::with_jobs(1), n).expect("crawl fleet").1
+    };
+    let sequential = sequential_crawl(n_check);
     let (_, parallel) =
         crawl_population_jobs(&scale, &FleetOptions::with_jobs(8), n_check).expect("crawl fleet");
     assert_eq!(sequential.len(), parallel.len());
@@ -62,7 +66,7 @@ fn main() {
     for (i, &n) in ns.iter().enumerate() {
         eprintln!("population N={n}: sequential crawl…");
         let start = Instant::now();
-        let (_, results) = crawl_population(&scale, n);
+        let results = sequential_crawl(n);
         let jobs1_secs = start.elapsed().as_secs_f64();
         let flows: u64 = results.iter().map(|r| r.store.len() as u64).sum();
         drop(results);

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use panoptes_analysis::study::run_crawl_with;
+use panoptes::campaign::run_crawl;
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::{mem, perf};
 use panoptes_web::generator::GeneratorConfig;
@@ -74,14 +74,14 @@ fn main() {
 
     // Crawl: one browser over every site — the per-browser unit of the
     // full study, at 100× the paper's web.
-    let profiles = panoptes_bench::experiments::population_for(&scale, 1);
-    let browser = profiles[0].name.clone();
+    let profile = panoptes_bench::experiments::population_for(&scale, 1).remove(0);
+    let browser = profile.name.clone();
     eprintln!("crawling {total_sites} sites as {browser}…");
     let config = scale.config();
     let crawl_start = Instant::now();
-    let results = run_crawl_with(&world, &world.sites, &config, &profiles);
+    let result = run_crawl(&world, &profile, &world.sites, &config);
     let crawl_secs = crawl_start.elapsed().as_secs_f64();
-    let flows = results[0].store.len() as u64;
+    let flows = result.store.len() as u64;
     assert!(flows >= total_sites as u64, "crawl captured fewer flows than sites");
 
     // Filterlist: automaton (should_block) vs the PR-2 indexed engine

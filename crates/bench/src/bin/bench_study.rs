@@ -13,8 +13,8 @@
 //!   single-core host the jobs>1 rows measure partition + merge
 //!   overhead, not scaling;
 //! * **capture→analysis overlap** — the full study end-to-end:
-//!   capture-everything-then-analyse vs the overlapped pipeline that
-//!   streams each sealed capture to an analysis worker.
+//!   capture-everything-then-analyse vs the study pipeline, which
+//!   analyses each sealed capture on the worker that produced it.
 //!
 //! Before reporting anything it asserts every path renders the exact
 //! same report bytes.
@@ -22,16 +22,17 @@
 //! Usage: `bench_study [--quick] [output.json]`
 //! (default `BENCH_study.json`; `--quick` is the CI smoke scale).
 
-use panoptes::fleet::FleetOptions;
+use panoptes::campaign::CampaignResult;
+use panoptes::fleet::{self, FleetOptions, FleetUnit, UnitOutput};
+use panoptes::idle::IdleResult;
 use panoptes_analysis::engine::{
     analyze_crawl_sharded, analyze_idle_sharded, analyze_study, AnalysisResources, StudyAnalyses,
 };
 use panoptes_analysis::summary::{study_report_from, study_report_multipass};
 use panoptes_bench::ab::{self, AbConfig};
-use panoptes_bench::experiments::{
-    crawl_all_jobs, idle_all_jobs, study_all_overlapped, Scale,
-};
+use panoptes_bench::experiments::{population_for, Scale};
 use panoptes_bench::mem;
+use panoptes_bench::pipeline::{self, StudyPlan};
 use panoptes_simnet::clock::SimDuration;
 
 #[global_allocator]
@@ -44,6 +45,35 @@ static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 fn time_best_pair<FA: FnMut(), FB: FnMut()>(reps: usize, a: FA, b: FB) -> (f64, f64) {
     let outcome = ab::interleaved(AbConfig::new(1, reps), "a", a, "b", b);
     (outcome.a.best(), outcome.b.best())
+}
+
+/// The paper's 15 browsers' crawls and idle runs across one fleet, in
+/// profile order — the capture half of the barrier path.
+fn capture_study(scale: &Scale, options: &FleetOptions) -> (Vec<CampaignResult>, Vec<IdleResult>) {
+    let world = scale.world();
+    let profiles = population_for(scale, 15);
+    let mut units: Vec<FleetUnit> = profiles.iter().cloned().map(FleetUnit::crawl).collect();
+    units.extend(profiles.into_iter().map(|p| FleetUnit::idle(p, scale.idle)));
+    let outputs = fleet::run_units(&world, &world.sites, &scale.config(), &units, options)
+        .expect("study fleet");
+    let mut crawls = Vec::new();
+    let mut idles = Vec::new();
+    for output in outputs {
+        match output {
+            UnitOutput::Crawl(r) => crawls.push(r),
+            UnitOutput::Idle(r) => idles.push(r),
+        }
+    }
+    (crawls, idles)
+}
+
+/// The same 15-browser study (no §3.2 units) through the study
+/// pipeline; returns its analyses.
+fn pipeline_study(scale: &Scale, options: &FleetOptions, res: &AnalysisResources) -> StudyAnalyses {
+    let world = scale.world();
+    let config = scale.config();
+    let plan = StudyPlan::new(&population_for(scale, 15), &config, false, Some(scale.idle));
+    pipeline::run(&world, &config, &plan, res, options, |_, _| {}).expect("study pipeline").1
 }
 
 fn main() {
@@ -70,7 +100,7 @@ fn main() {
     if let Some(n) = sites {
         // Deep-tail sites beyond the head set — the study then runs at
         // `--sites N` scale through every path below (fleet, sharded,
-        // overlapped), still asserting byte-identical reports.
+        // pipeline), still asserting byte-identical reports.
         scale = scale.with_sites(n);
     }
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -78,8 +108,7 @@ fn main() {
     let shard_jobs = [1usize, 2, 4, 8];
 
     eprintln!("capturing the study ({} + {} sites)…", scale.popular, scale.sensitive);
-    let (_, results) = crawl_all_jobs(&scale, &FleetOptions::default()).expect("crawl fleet");
-    let idles = idle_all_jobs(&scale, &FleetOptions::default()).expect("idle fleet");
+    let (results, idles) = capture_study(&scale, &FleetOptions::default());
     let flows: u64 = results.iter().map(|r| r.store.len() as u64).sum::<u64>()
         + idles.iter().map(|r| r.store.len() as u64).sum::<u64>();
 
@@ -99,14 +128,11 @@ fn main() {
             "sharded report diverged at jobs={jobs}"
         );
     }
-    let overlapped =
-        study_all_overlapped(&scale, &FleetOptions::with_jobs(4), &res).expect("overlap").1;
     assert_eq!(
         reference,
-        study_report_from(&overlapped.analyses),
-        "overlapped report diverged"
+        study_report_from(&pipeline_study(&scale, &FleetOptions::with_jobs(4), &res)),
+        "pipeline report diverged"
     );
-    drop(overlapped);
 
     // Captures are warm from the validation pass (snapshots sealed,
     // per-flow facts memoised), so the timings below measure the pass
@@ -220,14 +246,12 @@ fn main() {
     // End-to-end arms capture fresh fleets per rep (no shared warm
     // state to exclude), so no warmup is burned on these long runs.
     let barrier_secs = ab::best_of(AbConfig::new(0, e2e_reps), || {
-        let (_, crawls) = crawl_all_jobs(&scale, &options).expect("crawl fleet");
-        let idle_runs = idle_all_jobs(&scale, &options).expect("idle fleet");
+        let (crawls, idle_runs) = capture_study(&scale, &options);
         std::hint::black_box(analyze_study(&crawls, &idle_runs, &res).crawls.len());
     });
-    eprintln!("end-to-end: capture→analysis overlapped…");
-    let overlap_secs = ab::best_of(AbConfig::new(0, e2e_reps), || {
-        let (_, study) = study_all_overlapped(&scale, &options, &res).expect("overlap");
-        std::hint::black_box(study.analyses.crawls.len());
+    eprintln!("end-to-end: study pipeline…");
+    let study_pipeline_secs = ab::best_of(AbConfig::new(0, e2e_reps), || {
+        std::hint::black_box(pipeline_study(&scale, &options, &res).crawls.len());
     });
 
     let shard_rows: String = shard_jobs
@@ -246,7 +270,7 @@ fn main() {
             "  \"byte_identical\": {{\n",
             "    \"fused_vs_multipass\": true,\n",
             "    \"sharded_jobs\": [1, 2, 4, 8],\n",
-            "    \"overlapped\": true\n",
+            "    \"pipeline\": true\n",
             "  }},\n",
             "  \"single_thread\": {{\n",
             "    \"render_pipeline\": {{\n",
@@ -273,8 +297,8 @@ fn main() {
             "  }},\n",
             "  \"end_to_end_jobs_4\": {{\n",
             "    \"barrier_secs\": {barrier_secs:.6},\n",
-            "    \"overlapped_secs\": {overlap_secs:.6},\n",
-            "    \"speedup\": {overlap_speedup:.2}\n",
+            "    \"pipeline_secs\": {study_pipeline_secs:.6},\n",
+            "    \"speedup\": {e2e_speedup:.2}\n",
             "  }},\n",
             "{mem}\n",
             "}}\n",
@@ -294,8 +318,8 @@ fn main() {
         fusion_speedup = multipass_secs / fused_secs,
         shard_rows = shard_rows,
         barrier_secs = barrier_secs,
-        overlap_secs = overlap_secs,
-        overlap_speedup = barrier_secs / overlap_secs,
+        study_pipeline_secs = study_pipeline_secs,
+        e2e_speedup = barrier_secs / study_pipeline_secs,
         mem = mem::report_json(),
     );
 

@@ -2,36 +2,37 @@
 //!
 //! ```text
 //! repro [--quick] [--sites N] [--popular N] [--sensitive N] [--seed S]
-//!       [--jobs N] [--overlap] [--population N] [--only SECTION]
+//!       [--jobs N] [--population N] [--only SECTION]
 //! ```
 //!
-//! Sections: `table1 fig2 fig3 fig4 table2 fig5 leaks dns incognito
-//! sensitive transfers idle-dest listing1`. Default: everything at paper
-//! scale (500 + 500 sites, 10-minute idle).
+//! Sections (`--only`), in document order: `table1 fig2 fig3 fig4
+//! table2 leaks dns sensitive transfers listing1 identifiers cost
+//! incognito fig5 idle-dest`. Default: everything at paper scale
+//! (500 + 500 sites, 10-minute idle). A missing or unparsable flag
+//! value, an unknown flag, an unknown section or `--population 0`
+//! prints the usage line and exits with status 2.
 //!
 //! `--sites N` grows the web beyond the paper's head set: sites past
 //! `popular + sensitive` come from the generator's deterministic deep
 //! tail (the head sites stay byte-identical, so `--sites 1000` at paper
-//! scale IS the paper's exact web). Composes with `--jobs`/`--overlap`
-//! like any other scale.
+//! scale IS the paper's exact web). Composes with `--jobs` like any
+//! other scale.
 //!
-//! `--jobs N` runs the browser campaigns across an N-worker fleet
-//! (default: the machine's available parallelism; `--jobs 1` forces the
-//! legacy sequential path). Every capture is analysed once by the fused
-//! single-pass engine and all sections render from those analyses.
-//! `--overlap` additionally removes the capture→analysis barrier: each
-//! campaign streams to an analysis worker the moment it seals, running
-//! crawl, idle and analysis on one worker pool. Output is byte-identical
-//! for every N, with and without `--overlap` — results always come back
-//! in profile order before rendering.
+//! The study runs as one pipeline ([`pipeline`]): every campaign unit
+//! — a crawl per browser, the §3.2 incognito units, an idle run per
+//! browser — goes through one fleet, each capture is analysed on the
+//! worker that produced it, and each section group prints as soon as
+//! its inputs are complete. `--jobs N` sets the fleet's worker count
+//! (default: the machine's available parallelism). Output is
+//! byte-identical for every N.
 //!
 //! The §3.2 incognito section pairs each of Edge, Opera and UC
-//! International's normal crawl with an incognito crawl. On every path
-//! the normal half is the population's own crawl analysis when the
-//! population holds the browser's profile (see
-//! [`IncognitoPlan`]); only the incognito crawls, plus a normal crawl
-//! for a browser outside the population, run as extra fleet units, each
-//! crawled and analysed on its worker.
+//! International's normal crawl with an incognito crawl. The normal
+//! half is the population's own crawl analysis when the population
+//! holds the browser's profile (see [`IncognitoPlan`]); only the
+//! incognito crawls, plus a normal crawl for a browser outside the
+//! population, run as extra units. `--only` leaves out the incognito
+//! and idle units when their sections are not wanted.
 //!
 //! `--population N` runs the study over an N-browser population: the
 //! paper's 15 pinned browsers first, then deterministically sampled
@@ -49,21 +50,37 @@
 //! **stderr** after the run; `--trace-out FILE` enables the trace layer
 //! and writes the span/event JSONL there. Both leave stdout — the
 //! reproduction tables — byte-identical to a run without them.
+//!
+//! [`IncognitoPlan`]: panoptes_bench::incognito::IncognitoPlan
 
 use std::io::Write as _;
 
 use panoptes::fleet::FleetOptions;
-use panoptes_analysis::engine::{
-    analyze_crawl, analyze_idle, analyze_study_jobs, AnalysisResources, CampaignAnalysis,
-    IdleAnalysis, StudyAnalyses,
-};
+use panoptes_analysis::engine::AnalysisResources;
 use panoptes_analysis::summary::study_report_from;
-use panoptes_bench::experiments::{
-    crawl_population, crawl_population_jobs, idle_population, idle_population_jobs,
-    study_population_overlapped, Scale,
-};
-use panoptes_bench::incognito::IncognitoPlan;
+use panoptes_bench::experiments::{population_for, Scale};
+use panoptes_bench::pipeline::{self, StudyPlan, SECTIONS};
 use panoptes_bench::render;
+
+const USAGE: &str = "repro [--quick] [--sites N] [--popular N] [--sensitive N] [--seed S] [--jobs N] [--population N] [--only SECTION] [--har DIR] [--json FILE] [--csv DIR] [--metrics] [--trace-out FILE]";
+
+/// Reports a command-line error with the usage line and exits with
+/// status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("repro: {message}");
+    eprintln!("usage: {USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following flag `args[*i]`, parsed; advances `i` past it.
+fn value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    let Some(raw) = args.get(*i) else {
+        usage_error(&format!("{flag} needs a value"));
+    };
+    raw.parse().unwrap_or_else(|_| usage_error(&format!("{flag}: invalid value `{raw}`")))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,7 +90,6 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut csv_dir: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    let mut overlap = false;
     let mut population: usize = 15;
     let mut metrics = false;
     let mut trace_out: Option<String> = None;
@@ -82,64 +98,34 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => scale = Scale::quick(),
-            "--sites" => {
-                i += 1;
-                sites = Some(args[i].parse().expect("--sites N"));
-            }
+            "--sites" => sites = Some(value(&args, &mut i)),
             "--metrics" => metrics = true,
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(args[i].clone());
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = Some(args[i].parse().expect("--jobs N"));
-            }
-            "--overlap" => overlap = true,
-            "--population" => {
-                i += 1;
-                population = args[i].parse().expect("--population N");
-            }
-            "--popular" => {
-                i += 1;
-                scale.popular = args[i].parse().expect("--popular N");
-            }
-            "--sensitive" => {
-                i += 1;
-                scale.sensitive = args[i].parse().expect("--sensitive N");
-            }
-            "--seed" => {
-                i += 1;
-                scale.seed = args[i].parse().expect("--seed S");
-            }
-            "--only" => {
-                i += 1;
-                only = Some(args[i].clone());
-            }
-            "--har" => {
-                i += 1;
-                har_dir = Some(args[i].clone());
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(args[i].clone());
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(args[i].clone());
-            }
+            "--trace-out" => trace_out = Some(value(&args, &mut i)),
+            "--jobs" => jobs = Some(value(&args, &mut i)),
+            "--population" => population = value(&args, &mut i),
+            "--popular" => scale.popular = value(&args, &mut i),
+            "--sensitive" => scale.sensitive = value(&args, &mut i),
+            "--seed" => scale.seed = value(&args, &mut i),
+            "--only" => only = Some(value(&args, &mut i)),
+            "--har" => har_dir = Some(value(&args, &mut i)),
+            "--json" => json_path = Some(value(&args, &mut i)),
+            "--csv" => csv_dir = Some(value(&args, &mut i)),
             "--help" | "-h" => {
-                println!(
-                    "repro [--quick] [--sites N] [--popular N] [--sensitive N] [--seed S] [--jobs N] [--overlap] [--population N] [--only SECTION] [--har DIR] [--json FILE] [--csv DIR] [--metrics] [--trace-out FILE]"
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
         i += 1;
+    }
+    if population == 0 {
+        usage_error("--population must be at least 1");
+    }
+    if let Some(section) = only.as_deref().filter(|s| !SECTIONS.contains(s)) {
+        usage_error(&format!(
+            "unknown section `{section}`; sections: {}",
+            SECTIONS.join(" ")
+        ));
     }
     // Applied after the loop so `--sites` composes with `--quick` /
     // `--popular` / `--sensitive` regardless of flag order.
@@ -171,55 +157,32 @@ fn main() {
         Some(n) => FleetOptions::with_progress(n),
         None => FleetOptions::default().verbose(),
     };
-    let effective = fleet_options.effective_jobs(population);
+    let world = scale.world();
+    let config = scale.config();
+    let profiles = population_for(&scale, population);
     let res = AnalysisResources::standard();
-
-    // In --overlap mode the idle campaigns run (and everything gets
-    // analysed) on the same pool as the crawls, so their analyses are
-    // ready before any rendering starts.
-    let mut overlapped_idles: Option<Vec<IdleAnalysis>> = None;
-
-    let (world, results, crawl_analyses) = if overlap {
-        eprintln!(
-            "overlapped study: crawl + idle + analysis, {population} browsers, {effective} worker(s)..."
-        );
-        match study_population_overlapped(&scale, &fleet_options, &res, population) {
-            Ok((world, study)) => {
-                overlapped_idles = Some(study.analyses.idles);
-                (world, study.results.crawls, study.analyses.crawls)
-            }
+    let idle = want("fig5") || want("idle-dest") || json_path.is_some() || csv_dir.is_some();
+    let plan = StudyPlan::new(&profiles, &config, want("incognito"), idle.then_some(scale.idle));
+    eprintln!(
+        "study: {population} browsers, {} units, {} worker(s)...",
+        plan.units().len(),
+        fleet_options.effective_jobs(plan.units().len())
+    );
+    // Sections print through the shared assembler (also used by the
+    // study server), group by group as they come due.
+    let emit = |name: &str, text: &str| {
+        if want(name) {
+            print!("{text}");
+        }
+    };
+    let (results, analyses) =
+        match pipeline::run(&world, &config, &plan, &res, &fleet_options, emit) {
+            Ok(out) => out,
             Err(e) => {
-                eprintln!("overlapped study failed: {e}");
+                eprintln!("study fleet failed: {e}");
                 std::process::exit(1);
             }
-        }
-    } else {
-        eprintln!("crawling {population} browsers ({effective} worker(s))...");
-        let (world, results) = if jobs == Some(1) {
-            // The legacy sequential path, kept reachable for A/B runs.
-            crawl_population(&scale, population)
-        } else {
-            match crawl_population_jobs(&scale, &fleet_options, population) {
-                Ok(out) => out,
-                Err(e) => {
-                    eprintln!("crawl fleet failed: {e}");
-                    std::process::exit(1);
-                }
-            }
         };
-        let analyses: Vec<CampaignAnalysis> = if jobs == Some(1) {
-            results.iter().map(|r| analyze_crawl(r, &res)).collect()
-        } else {
-            match analyze_study_jobs(&results, &[], &res, &fleet_options) {
-                Ok(s) => s.crawls,
-                Err(e) => {
-                    eprintln!("analysis fleet failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
-        (world, results, analyses)
-    };
 
     if let Some(dir) = &har_dir {
         std::fs::create_dir_all(dir).expect("create --har directory");
@@ -230,94 +193,22 @@ fn main() {
             eprintln!("wrote {path}");
         }
     }
-
-    // Sections print through the shared document builders (also used
-    // by the study server) so the two output paths cannot drift.
-    for (name, text) in render::crawl_sections(&results, &crawl_analyses) {
-        if want(name) {
-            print!("{text}");
-        }
-    }
-
-    if want("incognito") {
-        // The population's crawls already hold the normal half of every
-        // pair whose profile it contains; only the incognito crawls (and
-        // a normal crawl for a browser outside the population) run here,
-        // each analysed on its own worker.
-        let plan = IncognitoPlan::new(results.iter().map(|r| &r.profile));
-        eprintln!(
-            "incognito crawls (Edge / Opera / UC International), {} unit(s)...",
-            plan.unit_count()
-        );
-        let unit_analyses = match plan.run(&world, &scale.config(), &res, &fleet_options) {
-            Ok(analyses) => analyses,
-            Err(e) => {
-                eprintln!("incognito fleet failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        print!("{}", render::incognito_section(&plan.pairs(&crawl_analyses, &unit_analyses)).1);
-    }
-
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create --csv directory");
-        std::fs::write(format!("{dir}/fig2.csv"), render::fig2_csv(&crawl_analyses))
+        std::fs::write(format!("{dir}/fig2.csv"), render::fig2_csv(&analyses.crawls))
             .expect("fig2.csv");
-        std::fs::write(format!("{dir}/fig3.csv"), render::fig3_csv(&crawl_analyses))
+        std::fs::write(format!("{dir}/fig3.csv"), render::fig3_csv(&analyses.crawls))
             .expect("fig3.csv");
-        eprintln!("wrote {dir}/fig2.csv, {dir}/fig3.csv");
+        std::fs::write(
+            format!("{dir}/fig5.csv"),
+            render::fig5_csv(&analyses.idles, panoptes_simnet::SimDuration::from_secs(10)),
+        )
+        .expect("fig5.csv");
+        eprintln!("wrote {dir}/fig2.csv, {dir}/fig3.csv, {dir}/fig5.csv");
     }
-
-    if want("fig5") || want("idle-dest") || json_path.is_some() || csv_dir.is_some() {
-        let idle_analyses: Vec<IdleAnalysis> = match overlapped_idles.take() {
-            Some(analyses) => analyses, // already captured and analysed
-            None => {
-                eprintln!(
-                    "idle experiment ({population} browsers x {}s, {effective} worker(s))...",
-                    scale.idle.as_secs()
-                );
-                let idle = if jobs == Some(1) {
-                    idle_population(&scale, population)
-                } else {
-                    match idle_population_jobs(&scale, &fleet_options, population) {
-                        Ok(out) => out,
-                        Err(e) => {
-                            eprintln!("idle fleet failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                };
-                if jobs == Some(1) {
-                    idle.iter().map(analyze_idle).collect()
-                } else {
-                    match analyze_study_jobs(&[], &idle, &res, &fleet_options) {
-                        Ok(s) => s.idles,
-                        Err(e) => {
-                            eprintln!("idle analysis fleet failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-        };
-        for (name, text) in render::idle_sections(&idle_analyses) {
-            if want(name) {
-                print!("{text}");
-            }
-        }
-        if let Some(dir) = &csv_dir {
-            std::fs::write(
-                format!("{dir}/fig5.csv"),
-                render::fig5_csv(&idle_analyses, panoptes_simnet::SimDuration::from_secs(10)),
-            )
-            .expect("fig5.csv");
-            eprintln!("wrote {dir}/fig5.csv");
-        }
-        if let Some(path) = &json_path {
-            let study = StudyAnalyses { crawls: crawl_analyses, idles: idle_analyses };
-            std::fs::write(path, study_report_from(&study)).expect("write --json file");
-            eprintln!("wrote {path}");
-        }
+    if let Some(path) = &json_path {
+        std::fs::write(path, study_report_from(&analyses)).expect("write --json file");
+        eprintln!("wrote {path}");
     }
     if metrics {
         eprint!("{}", panoptes_obs::report::render(&panoptes_obs::metrics::snapshot()));

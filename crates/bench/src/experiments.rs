@@ -1,22 +1,14 @@
-//! Experiment drivers: one function per paper artefact.
+//! Study scale and population: the parameters every driver shares.
 //!
-//! Every driver has a sequential form and a `_jobs` form running the
-//! same campaigns across the [`fleet`](panoptes::fleet) worker pool;
-//! both produce byte-identical results in the same order.
+//! The study itself runs through [`crate::pipeline`]; what stays here
+//! is the [`Scale`] of a run, its browser population, and the one
+//! crawl-only driver the benchmarks time on its own.
 
 use std::sync::Arc;
 
 use panoptes::campaign::CampaignResult;
 use panoptes::config::CampaignConfig;
-use panoptes::fleet::{FleetError, FleetOptions, UnitOutput};
-use panoptes::idle::IdleResult;
-use panoptes_analysis::engine::{
-    run_full_study_analyzed, run_study_analyzed_with, AnalysisResources, AnalyzedStudy,
-};
-use panoptes_analysis::study::{
-    run_crawl_jobs_with, run_crawl_with, run_full_crawl, run_full_crawl_jobs, run_full_idle,
-    run_full_idle_jobs, run_idle_jobs_with, run_idle_with,
-};
+use panoptes::fleet::{self, FleetError, FleetOptions, FleetUnit, UnitOutput};
 use panoptes_browsers::registry::population;
 use panoptes_browsers::BrowserProfile;
 use panoptes_simnet::clock::SimDuration;
@@ -71,7 +63,7 @@ impl Scale {
     }
 
     /// The (cached, shared) world for this scale: the plan cache builds
-    /// it once per configuration and every driver — sequential, fleet,
+    /// it once per configuration and every driver — pipeline, fleet,
     /// bench — reuses the same immutable instance.
     pub fn world(&self) -> Arc<World> {
         World::shared(&GeneratorConfig {
@@ -88,59 +80,6 @@ impl Scale {
     }
 }
 
-/// Runs the full 15-browser crawl at the given scale.
-pub fn crawl_all(scale: &Scale) -> (Arc<World>, Vec<CampaignResult>) {
-    let world = scale.world();
-    let config = scale.config();
-    let results = run_full_crawl(&world, &world.sites, &config);
-    (world, results)
-}
-
-/// Runs the 15-browser idle experiment at the given scale.
-pub fn idle_all(scale: &Scale) -> Vec<IdleResult> {
-    let world = scale.world();
-    run_full_idle(&world, scale.idle, &scale.config())
-}
-
-/// Runs the full 15-browser crawl across the fleet worker pool.
-///
-/// Output is identical to [`crawl_all`] — same results, same order —
-/// for any worker count; only wall-clock time differs.
-pub fn crawl_all_jobs(
-    scale: &Scale,
-    options: &FleetOptions,
-) -> Result<(Arc<World>, Vec<CampaignResult>), FleetError<UnitOutput>> {
-    let world = scale.world();
-    let config = scale.config();
-    let results = run_full_crawl_jobs(&world, &world.sites, &config, options)?;
-    Ok((world, results))
-}
-
-/// Runs the 15-browser idle experiment across the fleet worker pool.
-pub fn idle_all_jobs(
-    scale: &Scale,
-    options: &FleetOptions,
-) -> Result<Vec<IdleResult>, FleetError<UnitOutput>> {
-    let world = scale.world();
-    run_full_idle_jobs(&world, scale.idle, &scale.config(), options)
-}
-
-/// Runs the full study — crawl **and** idle campaigns — with the
-/// capture→analysis barrier removed: each unit's capture streams to an
-/// analysis worker as soon as it seals, so detectors run while other
-/// browsers are still crawling. Results and analyses come back in
-/// profile order, byte-identical to the barrier drivers above.
-pub fn study_all_overlapped(
-    scale: &Scale,
-    options: &FleetOptions,
-    res: &AnalysisResources,
-) -> Result<(Arc<World>, AnalyzedStudy), FleetError<()>> {
-    let world = scale.world();
-    let study =
-        run_full_study_analyzed(&world, &world.sites, &scale.config(), scale.idle, options, res)?;
-    Ok((world, study))
-}
-
 /// The browser population for a `--population N` run: the paper's 15
 /// pinned browsers first, then variants sampled deterministically from
 /// the scale's seed. `population_for(scale, 15)` is exactly the paper
@@ -149,61 +88,18 @@ pub fn population_for(scale: &Scale, n: usize) -> Vec<BrowserProfile> {
     population(scale.seed, n)
 }
 
-/// [`crawl_all`] over an `n`-browser population, sequentially.
-pub fn crawl_population(scale: &Scale, n: usize) -> (Arc<World>, Vec<CampaignResult>) {
-    let world = scale.world();
-    let config = scale.config();
-    let results = run_crawl_with(&world, &world.sites, &config, &population_for(scale, n));
-    (world, results)
-}
-
-/// [`idle_all`] over an `n`-browser population, sequentially.
-pub fn idle_population(scale: &Scale, n: usize) -> Vec<IdleResult> {
-    let world = scale.world();
-    run_idle_with(&world, scale.idle, &scale.config(), &population_for(scale, n))
-}
-
-/// [`crawl_all_jobs`] over an `n`-browser population.
+/// Crawls an `n`-browser population across the fleet worker pool:
+/// results come back in population order, byte-identical for any
+/// worker count.
 pub fn crawl_population_jobs(
     scale: &Scale,
     options: &FleetOptions,
     n: usize,
 ) -> Result<(Arc<World>, Vec<CampaignResult>), FleetError<UnitOutput>> {
     let world = scale.world();
-    let config = scale.config();
-    let results =
-        run_crawl_jobs_with(&world, &world.sites, &config, options, &population_for(scale, n))?;
+    let units: Vec<FleetUnit> =
+        population_for(scale, n).into_iter().map(FleetUnit::crawl).collect();
+    let outputs = fleet::run_units(&world, &world.sites, &scale.config(), &units, options)?;
+    let results = outputs.into_iter().filter_map(UnitOutput::into_crawl).collect();
     Ok((world, results))
-}
-
-/// [`idle_all_jobs`] over an `n`-browser population.
-pub fn idle_population_jobs(
-    scale: &Scale,
-    options: &FleetOptions,
-    n: usize,
-) -> Result<Vec<IdleResult>, FleetError<UnitOutput>> {
-    let world = scale.world();
-    run_idle_jobs_with(&world, scale.idle, &scale.config(), options, &population_for(scale, n))
-}
-
-/// [`study_all_overlapped`] over an `n`-browser population: `2n` fleet
-/// units (crawl + idle per browser) with the capture→analysis barrier
-/// removed.
-pub fn study_population_overlapped(
-    scale: &Scale,
-    options: &FleetOptions,
-    res: &AnalysisResources,
-    n: usize,
-) -> Result<(Arc<World>, AnalyzedStudy), FleetError<()>> {
-    let world = scale.world();
-    let study = run_study_analyzed_with(
-        &world,
-        &world.sites,
-        &scale.config(),
-        scale.idle,
-        options,
-        res,
-        &population_for(scale, n),
-    )?;
-    Ok((world, study))
 }

@@ -8,15 +8,15 @@
 //! at it and schedules only the incognito crawl. A normal re-crawl is
 //! scheduled only for a browser the population does not hold.
 //!
-//! `repro` and the study server share this plan, so both run the same
-//! units and pair the same analyses.
+//! The study pipeline ([`crate::pipeline`]) schedules these units after
+//! the population's crawls, so `repro` and the study server run the
+//! same units and pair the same analyses.
 
 use panoptes::config::CampaignConfig;
-use panoptes::fleet::{self, FleetError, FleetOptions, FleetUnit, UnitOutput};
-use panoptes_analysis::engine::{analyze_crawl, AnalysisResources, CampaignAnalysis};
+use panoptes::fleet::FleetUnit;
+use panoptes_analysis::engine::CampaignAnalysis;
 use panoptes_browsers::registry::all_profiles;
 use panoptes_browsers::BrowserProfile;
-use panoptes_web::World;
 
 /// The §3.2 incognito browsers, in section order.
 pub const INCOGNITO_BROWSERS: [&str; 3] = ["Edge", "Opera", "UC International"];
@@ -79,32 +79,6 @@ impl IncognitoPlan {
     /// population.
     pub fn unit_count(&self) -> usize {
         self.browsers.len() + self.browsers.iter().filter(|b| b.population_index.is_none()).count()
-    }
-
-    /// Runs the plan's units across the fleet. Each unit crawls and
-    /// then analyses on its worker, so only the analysis outlives it;
-    /// analyses come back in unit order.
-    pub fn run(
-        &self,
-        world: &World,
-        config: &CampaignConfig,
-        res: &AnalysisResources,
-        options: &FleetOptions,
-    ) -> Result<Vec<CampaignAnalysis>, FleetError<CampaignAnalysis>> {
-        let units = self.units(&config.clone().incognito());
-        let labels: Vec<String> = units
-            .iter()
-            .map(|u| match u.config {
-                Some(_) => format!("{} incognito crawl", u.profile.name),
-                None => u.label(),
-            })
-            .collect();
-        fleet::execute(&labels, options, |index| {
-            match fleet::run_unit(world, &world.sites, config, &units[index]) {
-                UnitOutput::Crawl(result) => analyze_crawl(&result, res),
-                UnitOutput::Idle(_) => unreachable!("the incognito plan schedules crawls only"),
-            }
-        })
     }
 
     /// The section's `(normal, incognito)` pairs: `population` holds

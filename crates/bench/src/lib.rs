@@ -17,4 +17,5 @@ pub mod experiments;
 pub mod incognito;
 pub mod mem;
 pub mod perf;
+pub mod pipeline;
 pub mod render;

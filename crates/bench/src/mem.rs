@@ -21,9 +21,23 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+/// The counters, on one cache line of their own. Every allocation on
+/// every thread updates them, so letting them straddle two lines, or
+/// share one with an unrelated static, adds coherence misses to every
+/// allocation in the process; where the linker places them is not
+/// otherwise under our control.
+#[repr(align(64))]
+struct Counters {
+    allocations: AtomicU64,
+    allocated_bytes: AtomicU64,
+    live_bytes: AtomicI64,
+}
+
+static COUNTERS: Counters = Counters {
+    allocations: AtomicU64::new(0),
+    allocated_bytes: AtomicU64::new(0),
+    live_bytes: AtomicI64::new(0),
+};
 
 /// A counting wrapper around the system allocator. Install as the
 /// `#[global_allocator]` of a bench binary to make
@@ -34,22 +48,23 @@ pub struct CountingAlloc;
 // is two relaxed counter bumps, which allocate nothing themselves.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        COUNTERS.allocations.fetch_add(1, Ordering::Relaxed);
+        COUNTERS.allocated_bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        COUNTERS.live_bytes.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        COUNTERS.live_bytes.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES
+        COUNTERS.allocations.fetch_add(1, Ordering::Relaxed);
+        COUNTERS
+            .allocated_bytes
             .fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        COUNTERS.live_bytes.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,13 +72,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Cumulative allocation count since process start (0 when the counting
 /// allocator is not installed).
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    COUNTERS.allocations.load(Ordering::Relaxed)
 }
 
 /// Cumulative allocated bytes since process start (gross, not live; 0
 /// when the counting allocator is not installed).
 pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
+    COUNTERS.allocated_bytes.load(Ordering::Relaxed)
 }
 
 /// Bytes currently allocated and not yet freed (0 when the counting
@@ -73,7 +88,7 @@ pub fn allocated_bytes() -> u64 {
 /// [`allocated_bytes`]. Concurrent threads' allocations bleed into a
 /// delta, so callers floor it with a known minimum.
 pub fn live_bytes() -> u64 {
-    LIVE_BYTES.load(Ordering::Relaxed).max(0) as u64
+    COUNTERS.live_bytes.load(Ordering::Relaxed).max(0) as u64
 }
 
 /// The process's peak resident set size in KiB (`VmHWM` from

@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use panoptes_browsers::BrowserProfile;
+use panoptes_browsers::{BrowserProfile, BrowsingMode};
 use panoptes_simnet::clock::SimDuration;
 use panoptes_web::site::SiteSpec;
 use panoptes_web::World;
@@ -163,10 +163,8 @@ impl<T> fmt::Debug for FleetError<T> {
 
 impl<T> std::error::Error for FleetError<T> {}
 
-/// Extracts the human-readable message from a caught panic payload —
-/// shared by the fleet's own unit isolation and by downstream overlapped
-/// pipelines that isolate their own worker panics the same way.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts the human-readable message from a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -198,9 +196,9 @@ where
     let started_at = Instant::now();
     let _fleet_span =
         panoptes_obs::trace::span_with("fleet.execute", None, || format!("{n} units, {jobs} jobs"));
-    // Runtime-class: which work runs through the fleet (vs the
-    // sequential or overlapped paths) is a property of the execution
-    // mode, not the workload.
+    // Runtime-class: which work runs through the batch fleet (vs the
+    // server's work pool) is a property of the execution mode, not the
+    // workload.
     panoptes_obs::count!("fleet.units.submitted", Runtime, n as u64);
     if options.progress {
         panoptes_obs::progress::emit(
@@ -423,11 +421,16 @@ impl FleetUnit {
         self
     }
 
-    /// The unit's progress label: browser name + experiment kind.
+    /// The unit's progress label: browser name + experiment kind, with
+    /// `incognito` for a unit run under an incognito config override.
     pub fn label(&self) -> String {
+        let mode = match &self.config {
+            Some(c) if c.mode == BrowsingMode::Incognito => "incognito ",
+            _ => "",
+        };
         match self.kind {
-            UnitKind::Crawl => format!("{} crawl", self.profile.name),
-            UnitKind::Idle(_) => format!("{} idle", self.profile.name),
+            UnitKind::Crawl => format!("{} {mode}crawl", self.profile.name),
+            UnitKind::Idle(_) => format!("{} {mode}idle", self.profile.name),
         }
     }
 }
@@ -459,8 +462,8 @@ impl UnitOutput {
 }
 
 /// Runs one campaign unit to completion — the single execution core
-/// shared by [`run_units`], the overlap engine's pipelined runner, and
-/// the serving layer's interleaved scheduler. The unit's own config
+/// shared by [`run_units`] (and through it the study pipeline) and the
+/// serving layer's interleaved scheduler. The unit's own config
 /// override wins over the fleet-wide `config`; no progress is emitted
 /// here (callers narrate with their own [`FleetOptions`] tag).
 pub fn run_unit(
@@ -487,90 +490,59 @@ pub fn run_units(
     units: &[FleetUnit],
     options: &FleetOptions,
 ) -> Result<Vec<UnitOutput>, FleetError<UnitOutput>> {
+    run_units_with(world, sites, config, units, options, |_, output| output)
+}
+
+/// [`run_units`] with each unit's output handed to `then` on the worker
+/// that ran it — so a consumer (the study pipeline's analysis, say)
+/// works on a capture while other workers are still producing theirs.
+/// `then` receives the unit's submission index; what it returns comes
+/// back in submission order.
+pub fn run_units_with<T, F>(
+    world: &World,
+    sites: &[SiteSpec],
+    config: &CampaignConfig,
+    units: &[FleetUnit],
+    options: &FleetOptions,
+    then: F,
+) -> Result<Vec<T>, FleetError<T>>
+where
+    T: Send,
+    F: Fn(usize, UnitOutput) -> T + Sync,
+{
     let labels: Vec<String> = units.iter().map(FleetUnit::label).collect();
     execute(&labels, options, |index| {
         let unit = &units[index];
         let output = run_unit(world, sites, config, unit);
         if options.progress {
-            match &output {
+            let captured = match &output {
                 UnitOutput::Crawl(result) => {
                     let sim: SimDuration = result
                         .visits
                         .iter()
                         .map(|v| v.dwell)
                         .fold(SimDuration::ZERO, |a, b| a + b);
-                    panoptes_obs::progress::emit(
-                        "fleet",
-                        &options.decorate(&format!(
-                            "{}: {} flows captured, {} visits, sim {}",
-                            labels_for_progress(&unit.profile.name, "crawl"),
-                            result.store.len(),
-                            result.visits.len(),
-                            sim,
-                        )),
-                    );
+                    format!(
+                        "{} flows captured, {} visits, sim {sim}",
+                        result.store.len(),
+                        result.visits.len()
+                    )
                 }
                 UnitOutput::Idle(result) => {
                     let duration = match unit.kind {
                         UnitKind::Idle(d) => d,
                         UnitKind::Crawl => unreachable!("idle output from crawl unit"),
                     };
-                    panoptes_obs::progress::emit(
-                        "fleet",
-                        &options.decorate(&format!(
-                            "{}: {} flows captured, sim {}",
-                            labels_for_progress(&unit.profile.name, "idle"),
-                            result.store.len(),
-                            duration,
-                        )),
-                    );
+                    format!("{} flows captured, sim {duration}", result.store.len())
                 }
-            }
+            };
+            panoptes_obs::progress::emit(
+                "fleet",
+                &options.decorate(&format!("{}: {captured}", labels[index])),
+            );
         }
-        output
+        then(index, output)
     })
-}
-
-fn labels_for_progress(name: &str, kind: &str) -> String {
-    format!("{name} {kind}")
-}
-
-/// The full paper study (crawl + idle per browser) as one fleet.
-pub struct StudyOutput {
-    /// Crawl results, one per profile, in profile order.
-    pub crawls: Vec<CampaignResult>,
-    /// Idle results, one per profile, in profile order.
-    pub idles: Vec<IdleResult>,
-}
-
-/// Runs crawl **and** idle units for every profile in `profiles` across
-/// one shared worker pool — idle units fill workers while long crawls
-/// drain, so the pool never idles before the tail.
-pub fn run_study(
-    world: &World,
-    sites: &[SiteSpec],
-    config: &CampaignConfig,
-    profiles: &[BrowserProfile],
-    idle: SimDuration,
-    options: &FleetOptions,
-) -> Result<StudyOutput, FleetError<UnitOutput>> {
-    let mut units = Vec::with_capacity(profiles.len() * 2);
-    for profile in profiles {
-        units.push(FleetUnit::crawl(profile.clone()));
-    }
-    for profile in profiles {
-        units.push(FleetUnit::idle(profile.clone(), idle));
-    }
-    let outputs = run_units(world, sites, config, &units, options)?;
-    let mut crawls = Vec::with_capacity(profiles.len());
-    let mut idles = Vec::with_capacity(profiles.len());
-    for output in outputs {
-        match output {
-            UnitOutput::Crawl(result) => crawls.push(result),
-            UnitOutput::Idle(result) => idles.push(result),
-        }
-    }
-    Ok(StudyOutput { crawls, idles })
 }
 
 // ---------------------------------------------------------------------
@@ -996,27 +968,44 @@ mod tests {
     }
 
     #[test]
-    fn mixed_study_splits_and_orders() {
+    fn mixed_units_come_back_in_submission_order() {
         let world = small_world();
         let config = CampaignConfig::default();
         let profiles: Vec<_> = all_profiles().into_iter().take(3).collect();
-        let study = run_study(
+        let mut units: Vec<FleetUnit> = profiles.iter().cloned().map(FleetUnit::crawl).collect();
+        units.extend(
+            profiles
+                .iter()
+                .cloned()
+                .map(|p| FleetUnit::idle(p, SimDuration::from_secs(60))),
+        );
+        let out = run_units(
             &world,
             &world.sites,
             &config,
-            &profiles,
-            SimDuration::from_secs(60),
+            &units,
             &FleetOptions::with_jobs(4),
         )
         .expect("no failures");
-        assert_eq!(study.crawls.len(), 3);
-        assert_eq!(study.idles.len(), 3);
-        for (result, profile) in study.crawls.iter().zip(&profiles) {
-            assert_eq!(result.profile.name, profile.name);
+        assert_eq!(out.len(), 6);
+        for (output, unit) in out.into_iter().zip(&units) {
+            match (output, &unit.kind) {
+                (UnitOutput::Crawl(r), UnitKind::Crawl) => assert_eq!(r.profile.name, unit.profile.name),
+                (UnitOutput::Idle(r), UnitKind::Idle(_)) => assert_eq!(r.profile.name, unit.profile.name),
+                _ => panic!("{}: output kind differs from the unit's", unit.label()),
+            }
         }
-        for (result, profile) in study.idles.iter().zip(&profiles) {
-            assert_eq!(result.profile.name, profile.name);
-        }
+    }
+
+    #[test]
+    fn incognito_units_say_so_in_their_label() {
+        let profile = profile_by_name("Edge").unwrap();
+        assert_eq!(FleetUnit::crawl(profile.clone()).label(), "Edge crawl");
+        let incognito = CampaignConfig::default().incognito();
+        assert_eq!(
+            FleetUnit::crawl(profile).with_config(incognito).label(),
+            "Edge incognito crawl"
+        );
     }
 
     #[test]

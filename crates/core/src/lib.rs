@@ -37,6 +37,6 @@ pub mod testbed;
 
 pub use campaign::{run_crawl, CampaignResult, VisitRecord};
 pub use config::CampaignConfig;
-pub use fleet::{FleetError, FleetOptions, FleetUnit, StudyOutput, UnitKind, UnitOutput};
+pub use fleet::{FleetError, FleetOptions, FleetUnit, UnitKind, UnitOutput};
 pub use idle::{run_idle, IdleResult};
 pub use testbed::Testbed;

@@ -10,12 +10,12 @@
 //!   gauges and fixed-log2-bucket histograms. Every metric is declared
 //!   with a [`metrics::MetricClass`]: *deterministic* metrics are pure
 //!   functions of the workload (event/flow/detector tallies — byte-
-//!   identical across worker counts and with/without the
-//!   capture→analysis overlap), *runtime* metrics describe how this
-//!   particular execution went (timings, shard topology, process-
-//!   lifetime cache state) and are excluded from the byte-identity
-//!   guarantee. [`report::render`] keeps the two sections strictly
-//!   apart so the deterministic half can be asserted byte-identical.
+//!   identical across worker counts and execution paths), *runtime*
+//!   metrics describe how this particular execution went (timings,
+//!   shard topology, process-lifetime cache state) and are excluded
+//!   from the byte-identity guarantee. [`report::render`] keeps the
+//!   two sections strictly apart so the deterministic half can be
+//!   asserted byte-identical.
 //! * **traces** ([`trace`]) — `tracing`-style spans and point events
 //!   with **dual timestamps** (wall-clock nanoseconds since process
 //!   start *and* the virtual sim-clock microseconds, when the caller

@@ -5,9 +5,9 @@
 //! workload — it is rendered by [`render_deterministic`] alone, with no
 //! timing, topology or gauge data mixed in, which is what lets the
 //! determinism tests (and CI) assert that section byte-identical across
-//! `--jobs 1`, `--jobs 8` and `--jobs 8 --overlap`. The **runtime**
-//! section holds everything else: timings, shard topology, gauges,
-//! process-lifetime cache state.
+//! `--jobs 1` and `--jobs 8`, and between execution paths. The
+//! **runtime** section holds everything else: timings, shard topology,
+//! gauges, process-lifetime cache state.
 //!
 //! All formatting is integer-only (counts, sums, log2 buckets, and the
 //! p50/p99 upper bounds derived from the buckets) — no floats anywhere
@@ -87,7 +87,7 @@ pub fn render_deterministic(snapshot: &MetricsSnapshot) -> String {
 /// Renders the full two-section report.
 pub fn render(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    out.push_str("== metrics: deterministic (byte-identical across --jobs / --overlap) ==\n");
+    out.push_str("== metrics: deterministic (byte-identical across --jobs) ==\n");
     let det = render_deterministic(snapshot);
     if det.is_empty() {
         out.push_str("  (none recorded)\n");
@@ -133,7 +133,7 @@ mod tests {
                     },
                 },
                 MetricEntry {
-                    name: "study.overlap.occupancy".into(),
+                    name: "fleet.workers.active".into(),
                     class: MetricClass::Runtime,
                     value: MetricValue::Gauge { value: 0, max: 2 },
                 },
@@ -147,7 +147,7 @@ mod tests {
         assert!(det.contains("mitm.flows.built"));
         assert!(det.contains("simnet.queue.drain_depth"));
         assert!(!det.contains("fleet.units.completed"));
-        assert!(!det.contains("study.overlap.occupancy"));
+        assert!(!det.contains("fleet.workers.active"));
     }
 
     #[test]
@@ -159,7 +159,7 @@ mod tests {
         assert!(report.contains(
             "simnet.queue.drain_depth                     count=3 sum=12 p50<=3 p99<=15 log2=[2:2 4:1]"
         ));
-        assert!(report.contains("study.overlap.occupancy                      level=0 high_water=2"));
+        assert!(report.contains("fleet.workers.active                         level=0 high_water=2"));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! drains into the global flush list, so a post-join exporter sees
 //! every worker's events; the exporting thread drains its own ring
 //! explicitly. [`export_jsonl`] must therefore run after the worker
-//! threads have joined — which the fleet and the overlapped study
-//! guarantee by scoping their pools.
+//! threads have joined — which the fleet guarantees by scoping its
+//! pool.
 //!
 //! # Dual timestamps
 //!

@@ -5,18 +5,16 @@
 //! A study at parameters `(seed, sites, population, idle)` is exactly
 //! the offline reproduction document: header, the twelve
 //! crawl-derived sections, the §3.2 incognito section (three
-//! normal/incognito pairs), and the two idle sections. The runner
-//! schedules every campaign unit — `population` crawls, the §3.2
-//! [`IncognitoPlan`]'s units, `population` idles — as individual jobs
-//! on the server's shared [`WorkPool`] lane for this request, analyses
-//! each capture on the request's own handler thread as it seals, and
-//! emits each section group the moment its inputs are complete. The
-//! plan reuses the population's crawl as the normal half of each pair
-//! whose profile the population holds, so at `population >= 15` it
-//! adds just the three incognito crawls (`2n + 3` units; `2n + 4` at
-//! `n = 6`, where UC International is not in the population and gets a
-//! normal re-crawl). Concatenating the streamed `header`/`section`
-//! payload bytes reproduces `repro`'s stdout exactly (enforced by
+//! normal/incognito pairs), and the two idle sections. The runner takes
+//! the study's units from the shared [`StudyPlan`] — `population`
+//! crawls, the §3.2 incognito units, `population` idles — and schedules
+//! each as an individual job on the server's shared [`WorkPool`] lane
+//! for this request. It analyses each capture on the request's own
+//! handler thread as it seals and feeds it to the plan's assembler,
+//! which hands back each section group the moment its inputs are
+//! complete — the same assembler `repro` prints through.
+//! Concatenating the streamed `header`/`section` payload bytes
+//! reproduces `repro`'s stdout exactly (enforced by
 //! `tests/serve_determinism.rs`).
 //!
 //! Backpressure: the lane is opened with a small credit allowance and
@@ -39,12 +37,10 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use panoptes::config::CampaignConfig;
-use panoptes::fleet::{self, FleetUnit, UnitOutput, WorkPool};
-use panoptes_analysis::engine::{
-    analyze_crawl, analyze_idle, AnalysisResources, CampaignAnalysis, IdleAnalysis,
-};
+use panoptes::fleet::{self, UnitOutput, WorkPool};
+use panoptes_analysis::engine::AnalysisResources;
 use panoptes_bench::experiments::Scale;
-use panoptes_bench::incognito::IncognitoPlan;
+use panoptes_bench::pipeline::StudyPlan;
 use panoptes_bench::render;
 use panoptes_blocklist::filterlist::easylist_excerpt;
 use panoptes_browsers::registry::population;
@@ -562,22 +558,10 @@ impl StudyEngine {
         sink.event(&ev_header(&tag, &header))
             .map_err(StudyError::Disconnected)?;
 
-        // Unit plan, in submission order: `n` crawls, the §3.2 plan's
-        // incognito units (a normal re-crawl only for a pinned browser
-        // the population lacks), `n` idles — exactly the offline
-        // study's unit set.
-        let n = arts.profiles.len();
-        let plan = IncognitoPlan::new(arts.profiles.iter());
-        let k = plan.unit_count();
-        let mut units: Vec<FleetUnit> = Vec::with_capacity(2 * n + k);
-        for p in arts.profiles.iter() {
-            units.push(FleetUnit::crawl(p.clone()));
-        }
-        units.extend(plan.units(&arts.config.clone().incognito()));
-        for p in arts.profiles.iter() {
-            units.push(FleetUnit::idle(p.clone(), scale.idle));
-        }
-        let total = units.len();
+        // The shared unit plan — `n` crawls, the §3.2 units, `n` idles —
+        // exactly the offline study's unit set.
+        let plan = StudyPlan::new(&arts.profiles, &arts.config, true, Some(scale.idle));
+        let total = plan.units().len();
         self.recorder.study_progress(req.id, 0, total);
 
         self.pool.open_lane(lane, self.credits);
@@ -592,7 +576,8 @@ impl StudyEngine {
         // here (it is `Copy`) and re-entered inside each job, so unit
         // spans land on the request that scheduled them.
         let ctx = panoptes_obs::ctx::current();
-        for (idx, unit) in units.into_iter().enumerate() {
+        for (idx, unit) in plan.units().iter().enumerate() {
+            let unit = unit.clone();
             let world = Arc::clone(&arts.world);
             let config = arts.config.clone();
             let tx = tx.clone();
@@ -625,20 +610,10 @@ impl StudyEngine {
         }
         drop(tx);
 
-        // Collect in completion order; emit section groups in document
-        // order the moment their inputs are complete.
-        let mut crawl_results: Vec<Option<panoptes::campaign::CampaignResult>> =
-            (0..n).map(|_| None).collect();
-        let mut crawl_analyses: Vec<Option<CampaignAnalysis>> = (0..n).map(|_| None).collect();
-        // The population analyses outlive crawl emission: the §3.2
-        // pairs borrow their normal halves.
-        let mut population_analyses: Vec<CampaignAnalysis> = Vec::new();
-        let mut incog_analyses: Vec<Option<CampaignAnalysis>> = (0..k).map(|_| None).collect();
-        let mut idle_analyses: Vec<Option<IdleAnalysis>> = (0..n).map(|_| None).collect();
-        let (mut crawls_done, mut incogs_done, mut idles_done) = (0usize, 0usize, 0usize);
-        let (mut crawl_emitted, mut incog_emitted, mut idle_emitted) = (false, false, false);
+        // Collect in completion order; the assembler hands back each
+        // section group, in document order, once its inputs are in.
+        let mut assembler = plan.assembler(false);
         let mut sections: Vec<(String, String)> = Vec::new();
-
         for received in 0..total {
             let Ok((idx, output)) = timed(&mut phases.capture_us, || rx.recv()) else {
                 // A unit panicked (its sender died without sending) —
@@ -647,77 +622,26 @@ impl StudyEngine {
                     "a campaign unit failed; study aborted".to_string(),
                 ));
             };
-            match output {
-                UnitOutput::Crawl(result) if idx < n => {
-                    crawl_analyses[idx] = Some(timed(&mut phases.analysis_us, || {
-                        analyze_crawl(&result, &arts.res)
-                    }));
-                    crawl_results[idx] = Some(result);
-                    crawls_done += 1;
-                }
-                UnitOutput::Crawl(result) => {
-                    incog_analyses[idx - n] = Some(timed(&mut phases.analysis_us, || {
-                        analyze_crawl(&result, &arts.res)
-                    }));
-                    incogs_done += 1;
-                }
-                UnitOutput::Idle(result) => {
-                    idle_analyses[idx - n - k] =
-                        Some(timed(&mut phases.analysis_us, || analyze_idle(&result)));
-                    idles_done += 1;
-                }
-            }
+            let unit = timed(&mut phases.analysis_us, || plan.analyze(idx, output, &arts.res));
+            let due = timed(&mut phases.render_us, || assembler.accept(idx, unit));
             self.recorder.study_progress(req.id, received + 1, total);
             sink.event(&ev_progress(&tag, received + 1, total))
                 .map_err(StudyError::Disconnected)?;
-
-            if !crawl_emitted && crawls_done == n {
-                let results: Vec<_> = crawl_results.drain(..).flatten().collect();
-                population_analyses = crawl_analyses.drain(..).flatten().collect();
-                let rendered = timed(&mut phases.render_us, || {
-                    render::crawl_sections(&results, &population_analyses)
-                });
-                for (name, text) in rendered {
-                    sink.event(&ev_section(name, &text))
-                        .map_err(StudyError::Disconnected)?;
-                    sections.push((name.to_string(), text));
-                }
-                crawl_emitted = true;
-            }
-            if crawl_emitted && !incog_emitted && incogs_done == k {
-                let analysed: Vec<_> = incog_analyses.drain(..).flatten().collect();
-                let pairs = plan.pairs(&population_analyses, &analysed);
-                let (name, text) =
-                    timed(&mut phases.render_us, || render::incognito_section(&pairs));
+            for (name, text) in due {
                 sink.event(&ev_section(name, &text))
                     .map_err(StudyError::Disconnected)?;
                 sections.push((name.to_string(), text));
-                incog_emitted = true;
             }
-            if incog_emitted && !idle_emitted && idles_done == n {
-                let analyses: Vec<_> = idle_analyses.drain(..).flatten().collect();
-                let rendered = timed(&mut phases.render_us, || render::idle_sections(&analyses));
-                for (name, text) in rendered {
-                    sink.event(&ev_section(name, &text))
-                        .map_err(StudyError::Disconnected)?;
-                    sections.push((name.to_string(), text));
-                }
-                idle_emitted = true;
-            }
-
             // Results held for a not-yet-complete group: the stream's
             // buffer occupancy.
-            let buffered = (if crawl_emitted { 0 } else { crawls_done })
-                + (if incog_emitted { 0 } else { incogs_done })
-                + (if idle_emitted { 0 } else { idles_done });
-            panoptes_obs::gauge_set!("serve.stream.buffered_units", buffered as i64);
+            panoptes_obs::gauge_set!("serve.stream.buffered_units", assembler.buffered() as i64);
 
             // The client drained everything due so far: release one
             // more unit into the pool (backpressure valve).
             self.pool.grant(lane, 1);
         }
 
-        if !(crawl_emitted && incog_emitted && idle_emitted) {
+        if !assembler.is_complete() {
             return Err(StudyError::Fleet(
                 "study ended with incomplete groups".to_string(),
             ));

@@ -8,14 +8,28 @@
 //! artefacts: parallelism buys wall-clock time only, never a different
 //! dataset.
 
-use panoptes::fleet::{self, FleetOptions};
-use panoptes_analysis::study::{run_full_crawl, run_full_idle, run_full_study_jobs};
+use panoptes::campaign::{run_crawl, CampaignResult};
+use panoptes::config::CampaignConfig;
+use panoptes::fleet::{self, FleetOptions, FleetUnit, UnitOutput};
+use panoptes::idle::{run_idle, IdleResult};
 use panoptes_analysis::summary::study_report;
 use panoptes_bench::experiments::Scale;
 use panoptes_browsers::registry::all_profiles;
 use panoptes_simnet::clock::SimDuration;
+use panoptes_web::World;
 
 const IDLE: SimDuration = SimDuration::from_secs(120);
+
+/// Every paper browser's crawl and idle run, one after another.
+fn sequential_study(
+    world: &World,
+    config: &CampaignConfig,
+) -> (Vec<CampaignResult>, Vec<IdleResult>) {
+    let profiles = all_profiles();
+    let crawls = profiles.iter().map(|p| run_crawl(world, p, &world.sites, config)).collect();
+    let idles = profiles.iter().map(|p| run_idle(world, p, IDLE, config)).collect();
+    (crawls, idles)
+}
 
 #[test]
 fn full_study_is_byte_identical_across_worker_counts() {
@@ -23,22 +37,28 @@ fn full_study_is_byte_identical_across_worker_counts() {
     let world = scale.world();
     let config = scale.config();
 
-    let seq_crawls = run_full_crawl(&world, &world.sites, &config);
-    let seq_idles = run_full_idle(&world, IDLE, &config);
+    let (seq_crawls, seq_idles) = sequential_study(&world, &config);
     let reference_report = study_report(&seq_crawls, &seq_idles);
 
-    for jobs in [1usize, 2, 8] {
-        let study = run_full_study_jobs(
-            &world,
-            &world.sites,
-            &config,
-            IDLE,
-            &FleetOptions::with_jobs(jobs),
-        )
-        .unwrap_or_else(|e| panic!("jobs={jobs}: {e}"));
+    // Crawl and idle units for every browser, on one fleet.
+    let profiles = all_profiles();
+    let mut units: Vec<FleetUnit> = profiles.iter().cloned().map(FleetUnit::crawl).collect();
+    units.extend(profiles.into_iter().map(|p| FleetUnit::idle(p, IDLE)));
 
-        assert_eq!(study.crawls.len(), seq_crawls.len(), "jobs={jobs}");
-        for (par, seq) in study.crawls.iter().zip(&seq_crawls) {
+    for jobs in [1usize, 2, 8] {
+        let outputs =
+            fleet::run_units(&world, &world.sites, &config, &units, &FleetOptions::with_jobs(jobs))
+                .unwrap_or_else(|e| panic!("jobs={jobs}: {e}"));
+        let (mut crawls, mut idles) = (Vec::new(), Vec::new());
+        for output in outputs {
+            match output {
+                UnitOutput::Crawl(r) => crawls.push(r),
+                UnitOutput::Idle(r) => idles.push(r),
+            }
+        }
+
+        assert_eq!(crawls.len(), seq_crawls.len(), "jobs={jobs}");
+        for (par, seq) in crawls.iter().zip(&seq_crawls) {
             let name = &seq.profile.name;
             assert_eq!(par.profile.name, *name, "jobs={jobs}: crawl order");
             assert_eq!(
@@ -52,8 +72,8 @@ fn full_study_is_byte_identical_across_worker_counts() {
             assert_eq!(par.native_sent, seq.native_sent, "jobs={jobs} {name}");
         }
 
-        assert_eq!(study.idles.len(), seq_idles.len(), "jobs={jobs}");
-        for (par, seq) in study.idles.iter().zip(&seq_idles) {
+        assert_eq!(idles.len(), seq_idles.len(), "jobs={jobs}");
+        for (par, seq) in idles.iter().zip(&seq_idles) {
             let name = &seq.profile.name;
             assert_eq!(par.profile.name, *name, "jobs={jobs}: idle order");
             assert_eq!(
@@ -65,7 +85,7 @@ fn full_study_is_byte_identical_across_worker_counts() {
         }
 
         assert_eq!(
-            study_report(&study.crawls, &study.idles),
+            study_report(&crawls, &idles),
             reference_report,
             "jobs={jobs}: rendered study report diverged"
         );
@@ -87,8 +107,7 @@ fn study_report_is_byte_identical_across_snapshot_rebuilds() {
     let world = scale.world();
     let config = scale.config();
 
-    let crawls = run_full_crawl(&world, &world.sites, &config);
-    let idles = run_full_idle(&world, IDLE, &config);
+    let (crawls, idles) = sequential_study(&world, &config);
     let reference_report = study_report(&crawls, &idles);
 
     let rebuilt_crawls: Vec<_> = crawls

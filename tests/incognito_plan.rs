@@ -6,21 +6,18 @@
 //! these tests check the reuse's output and the determinism it rests on:
 //!
 //! * for populations that hold none, some and all of the three
-//!   incognito browsers, at `--jobs 1`, across a fleet and with
-//!   `--overlap`, the section built from the plan equals the section
-//!   built from six explicit `run_crawl` re-crawls;
+//!   incognito browsers, the section the study pipeline emits at
+//!   `--jobs 1` and across a fleet equals the section built from six
+//!   explicit `run_crawl` re-crawls;
 //! * for Edge, Opera and UC International, a normal re-crawl captures
 //!   exactly the flows of the population crawl it replaces.
 
-use panoptes::campaign::{run_crawl, CampaignResult};
+use panoptes::campaign::run_crawl;
 use panoptes::fleet::FleetOptions;
-use panoptes_analysis::engine::{
-    analyze_crawl, analyze_study_jobs, AnalysisResources, CampaignAnalysis,
-};
-use panoptes_bench::experiments::{
-    crawl_population, crawl_population_jobs, study_population_overlapped, Scale,
-};
+use panoptes_analysis::engine::{analyze_crawl, AnalysisResources, CampaignAnalysis};
+use panoptes_bench::experiments::{crawl_population_jobs, population_for, Scale};
 use panoptes_bench::incognito::{IncognitoPlan, INCOGNITO_BROWSERS};
+use panoptes_bench::pipeline::{self, StudyPlan};
 use panoptes_bench::render;
 use panoptes_browsers::registry::profile_by_name;
 
@@ -42,40 +39,11 @@ fn six_recrawl_section(scale: &Scale, res: &AnalysisResources) -> String {
     render::incognito_section(&pairs).1
 }
 
-/// The population crawl and its analyses, through the same experiment
-/// calls as `repro` at `--jobs 1`, across a fleet, or overlapped.
-fn population_crawls(
-    scale: &Scale,
-    res: &AnalysisResources,
-    mode: &str,
-    n: usize,
-) -> (Vec<CampaignResult>, Vec<CampaignAnalysis>) {
-    let options = FleetOptions::with_jobs(4);
-    match mode {
-        "jobs-1" => {
-            let (_, results) = crawl_population(scale, n);
-            let analyses = results.iter().map(|r| analyze_crawl(r, res)).collect();
-            (results, analyses)
-        }
-        "fleet" => {
-            let (_, results) = crawl_population_jobs(scale, &options, n).expect("crawl fleet");
-            let analyses =
-                analyze_study_jobs(&results, &[], res, &options).expect("analysis fleet").crawls;
-            (results, analyses)
-        }
-        "overlap" => {
-            let (_, study) =
-                study_population_overlapped(scale, &options, res, n).expect("overlapped study");
-            (study.results.crawls, study.analyses.crawls)
-        }
-        other => unreachable!("unknown mode {other}"),
-    }
-}
-
 #[test]
 fn plan_section_matches_six_explicit_recrawls() {
     let scale = Scale::quick();
     let world = scale.world();
+    let config = scale.config();
     let res = AnalysisResources::standard();
     let reference = six_recrawl_section(&scale, &res);
     assert!(reference.contains("| Edge |"), "reference renders the Edge row");
@@ -83,17 +51,25 @@ fn plan_section_matches_six_explicit_recrawls() {
     // Population 1 holds none of the three browsers, 2 holds Edge, 6
     // holds Edge and Opera, 15 and 20 hold all three.
     for (n, units) in [(1, 6), (2, 5), (6, 4), (15, 3), (20, 3)] {
-        for mode in ["jobs-1", "fleet", "overlap"] {
-            let (results, analyses) = population_crawls(&scale, &res, mode, n);
-            let plan = IncognitoPlan::new(results.iter().map(|r| &r.profile));
-            assert_eq!(plan.unit_count(), units, "population {n}: planned units");
-            let jobs = if mode == "jobs-1" { 1 } else { 4 };
-            let unit_analyses = plan
-                .run(&world, &scale.config(), &res, &FleetOptions::with_jobs(jobs))
-                .expect("incognito units");
-            assert_eq!(unit_analyses.len(), units);
-            let section = render::incognito_section(&plan.pairs(&analyses, &unit_analyses)).1;
-            assert_eq!(section, reference, "population {n}, {mode}: section differs");
+        let profiles = population_for(&scale, n);
+        assert_eq!(IncognitoPlan::new(&profiles).unit_count(), units, "population {n}");
+        // The crawl group and §3.2 only: no idle runs.
+        let plan = StudyPlan::new(&profiles, &config, true, None);
+        assert_eq!(plan.units().len(), n + units, "population {n}: planned units");
+        for jobs in [1, 4] {
+            let mut section = None;
+            let options = FleetOptions::with_jobs(jobs);
+            pipeline::run(&world, &config, &plan, &res, &options, |name, text| {
+                if name == "incognito" {
+                    section = Some(text.to_string());
+                }
+            })
+            .expect("study units");
+            assert_eq!(
+                section.as_deref(),
+                Some(reference.as_str()),
+                "population {n}, jobs {jobs}: section differs"
+            );
         }
     }
 }
@@ -103,7 +79,10 @@ fn normal_recrawl_captures_the_population_crawl() {
     let scale = Scale::quick();
     let world = scale.world();
     let config = scale.config();
-    let (_, sequential) = crawl_population(&scale, 15);
+    let sequential: Vec<_> = population_for(&scale, 15)
+        .iter()
+        .map(|p| run_crawl(&world, p, &world.sites, &config))
+        .collect();
     let (_, fleet) =
         crawl_population_jobs(&scale, &FleetOptions::with_jobs(4), 15).expect("crawl fleet");
     let plan = IncognitoPlan::new(fleet.iter().map(|r| &r.profile));

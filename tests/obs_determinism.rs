@@ -1,8 +1,9 @@
 //! The metrics report's headline split, enforced end-to-end: every
 //! metric classed [`Deterministic`] is a pure function of the workload,
 //! so the deterministic section of the report renders **byte-identical**
-//! no matter how the study executes — sequentially, through the fleet
-//! at any worker count from 1 to 8, or with capture→analysis overlap.
+//! no matter how the study executes — sequentially, or through the
+//! study pipeline (capture→analysis overlap) at any worker count from 1
+//! to 8.
 //! Runtime-class metrics (timings, shard topology, process-lifetime
 //! caches) are allowed to differ and are excluded by construction.
 //!
@@ -12,10 +13,13 @@
 //!
 //! [`Deterministic`]: panoptes_obs::metrics::MetricClass::Deterministic
 
+use panoptes::campaign::run_crawl;
 use panoptes::fleet::FleetOptions;
-use panoptes_analysis::engine::{analyze_study, run_full_study_analyzed, AnalysisResources};
-use panoptes_analysis::study::{run_full_crawl, run_full_idle};
+use panoptes::idle::run_idle;
+use panoptes_analysis::engine::{analyze_study, AnalysisResources};
 use panoptes_bench::experiments::Scale;
+use panoptes_bench::pipeline::{self, StudyPlan};
+use panoptes_browsers::registry::all_profiles;
 use panoptes_obs::metrics::snapshot;
 use panoptes_obs::report::render_deterministic;
 use panoptes_simnet::clock::SimDuration;
@@ -28,11 +32,13 @@ fn deterministic_metrics_identical_across_jobs_and_overlap() {
     let world = scale.world();
     let config = scale.config();
     let res = AnalysisResources::standard();
+    let profiles = all_profiles();
     panoptes_obs::enable(panoptes_obs::METRICS);
 
     let run_sequential = || {
-        let crawls = run_full_crawl(&world, &world.sites, &config);
-        let idles = run_full_idle(&world, IDLE, &config);
+        let crawls: Vec<_> =
+            profiles.iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect();
+        let idles: Vec<_> = profiles.iter().map(|p| run_idle(&world, p, IDLE, &config)).collect();
         std::hint::black_box(analyze_study(&crawls, &idles, &res).crawls.len());
     };
 
@@ -55,26 +61,20 @@ fn deterministic_metrics_identical_across_jobs_and_overlap() {
         );
     }
 
-    // The same workload through the overlapped engine at every worker
+    // The same workload through the study pipeline at every worker
     // count must tally identically, byte for byte.
+    let plan = StudyPlan::new(&profiles, &config, false, Some(IDLE));
     for jobs in 1..=8usize {
         let options = FleetOptions::with_jobs(jobs);
-        let overlapped = deterministic_of(&|| {
-            let study = run_full_study_analyzed(
-                &world,
-                &world.sites,
-                &config,
-                IDLE,
-                &options,
-                &res,
-            )
-            .unwrap_or_else(|e| panic!("overlapped study failed at jobs={jobs}: {e}"));
-            std::hint::black_box(study.analyses.crawls.len());
+        let pipelined = deterministic_of(&|| {
+            let (_, analyses) = pipeline::run(&world, &config, &plan, &res, &options, |_, _| {})
+                .unwrap_or_else(|e| panic!("study pipeline failed at jobs={jobs}: {e}"));
+            std::hint::black_box(analyses.crawls.len());
         });
         assert_eq!(
-            reference, overlapped,
+            reference, pipelined,
             "deterministic metrics diverged between the sequential path and \
-             the overlapped engine at jobs={jobs}"
+             the study pipeline at jobs={jobs}"
         );
     }
 

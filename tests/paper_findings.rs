@@ -8,10 +8,9 @@ use panoptes_suite::analysis::history::{summarize_leaks, LeakGranularity};
 use panoptes_suite::analysis::incognito::compare;
 use panoptes_suite::analysis::pii::table2;
 use panoptes_suite::analysis::sensitive::sensitive_row;
-use panoptes_suite::analysis::study::run_full_crawl;
 use panoptes_suite::analysis::transfers::transfers;
 use panoptes_suite::analysis::volume::figure2;
-use panoptes_suite::browsers::registry::profile_by_name;
+use panoptes_suite::browsers::registry::{all_profiles, profile_by_name};
 use panoptes_suite::browsers::PiiField;
 use panoptes_suite::device::DeviceProperties;
 use panoptes_suite::geo::GeoDb;
@@ -22,7 +21,9 @@ use panoptes_suite::web::World;
 
 fn study() -> (World, Vec<CampaignResult>) {
     let world = World::build(&GeneratorConfig { popular: 12, sensitive: 8, ..Default::default() });
-    let results = run_full_crawl(&world, &world.sites, &CampaignConfig::default());
+    let config = CampaignConfig::default();
+    let results =
+        all_profiles().iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect();
     (world, results)
 }
 

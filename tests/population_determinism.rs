@@ -1,26 +1,38 @@
 //! Population-scale determinism, enforced end-to-end at the workspace
 //! level: a 64-browser study — the 15 pinned paper browsers plus 49
 //! sampled variants — renders the **byte-identical** report whether the
-//! campaigns run sequentially (`--jobs 1`), across an 8-worker fleet
-//! (`--jobs 8`), or with the capture→analysis barrier removed
-//! (`--jobs 8 --overlap`). The sampler's determinism contract
-//! (DESIGN.md §9) and the fleet's unit isolation compose: scaling the
-//! population changes how much work runs, never what any browser does.
+//! campaigns run sequentially, across an 8-worker fleet, or through
+//! the study pipeline at `--jobs 8` (capture→analysis overlap). The
+//! sampler's determinism contract (DESIGN.md §9) and the fleet's unit
+//! isolation compose: scaling the population changes how much work
+//! runs, never what any browser does.
 //!
 //! Mirrors `tests/study_engine_determinism.rs` for the sampled
 //! population.
 
-use panoptes::fleet::FleetOptions;
-use panoptes_analysis::engine::{
-    analyze_study, run_study_analyzed_with, AnalysisResources,
-};
-use panoptes_analysis::study::{run_crawl_jobs_with, run_crawl_with, run_idle_with};
+use panoptes::campaign::{run_crawl, CampaignResult};
+use panoptes::config::CampaignConfig;
+use panoptes::fleet::{self, FleetOptions, FleetUnit, UnitOutput};
+use panoptes::idle::run_idle;
+use panoptes_analysis::engine::{analyze_study, AnalysisResources};
 use panoptes_analysis::summary::study_report_from;
 use panoptes_bench::experiments::{population_for, Scale};
+use panoptes_bench::pipeline::{self, StudyPlan};
+use panoptes_browsers::BrowserProfile;
 use panoptes_simnet::clock::SimDuration;
+use panoptes_web::World;
 
 const POPULATION: usize = 64;
 const IDLE: SimDuration = SimDuration::from_secs(120);
+
+/// Each profile's crawl, one after another.
+fn crawl_each(
+    world: &World,
+    config: &CampaignConfig,
+    profiles: &[BrowserProfile],
+) -> Vec<CampaignResult> {
+    profiles.iter().map(|p| run_crawl(world, p, &world.sites, config)).collect()
+}
 
 #[test]
 fn population_study_reports_are_byte_identical_across_jobs() {
@@ -32,19 +44,18 @@ fn population_study_reports_are_byte_identical_across_jobs() {
     assert_eq!(profiles.len(), POPULATION);
 
     // Reference: sequential capture (--jobs 1), fused analysis.
-    let crawls = run_crawl_with(&world, &world.sites, &config, &profiles);
-    let idles = run_idle_with(&world, IDLE, &config, &profiles);
+    let crawls = crawl_each(&world, &config, &profiles);
+    let idles: Vec<_> = profiles.iter().map(|p| run_idle(&world, p, IDLE, &config)).collect();
     let reference = study_report_from(&analyze_study(&crawls, &idles, &res));
 
     // --jobs 8: the fleet schedules the 64 campaigns across 8 workers.
-    let parallel = run_crawl_jobs_with(
-        &world,
-        &world.sites,
-        &config,
-        &FleetOptions::with_jobs(8),
-        &profiles,
-    )
-    .expect("population crawl fleet");
+    let units: Vec<FleetUnit> = profiles.iter().cloned().map(FleetUnit::crawl).collect();
+    let parallel: Vec<_> =
+        fleet::run_units(&world, &world.sites, &config, &units, &FleetOptions::with_jobs(8))
+            .expect("population crawl fleet")
+            .into_iter()
+            .filter_map(UnitOutput::into_crawl)
+            .collect();
     assert_eq!(parallel.len(), crawls.len());
     for (p, s) in parallel.iter().zip(&crawls) {
         assert_eq!(p.profile.name, s.profile.name);
@@ -61,22 +72,16 @@ fn population_study_reports_are_byte_identical_across_jobs() {
         "population report diverged at jobs=8"
     );
 
-    // --jobs 8 --overlap: 128 units (crawl + idle per browser) stream
-    // into analysis workers as each capture seals.
-    let overlapped = run_study_analyzed_with(
-        &world,
-        &world.sites,
-        &config,
-        IDLE,
-        &FleetOptions::with_jobs(8),
-        &res,
-        &profiles,
-    )
-    .expect("overlapped population study");
+    // The study pipeline at --jobs 8: 128 units (crawl + idle per
+    // browser), each capture analysed on its worker as it seals.
+    let plan = StudyPlan::new(&profiles, &config, false, Some(IDLE));
+    let options = FleetOptions::with_jobs(8);
+    let (_, analyses) = pipeline::run(&world, &config, &plan, &res, &options, |_, _| {})
+        .expect("population study pipeline");
     assert_eq!(
         reference,
-        study_report_from(&overlapped.analyses),
-        "population report diverged at jobs=8 --overlap"
+        study_report_from(&analyses),
+        "population report diverged through the study pipeline at jobs=8"
     );
 }
 
@@ -88,8 +93,8 @@ fn population_prefix_is_the_paper_study() {
     let scale = Scale { popular: 4, sensitive: 2, ..Scale::quick() };
     let world = scale.world();
     let config = scale.config();
-    let paper = run_crawl_with(&world, &world.sites, &config, &population_for(&scale, 15));
-    let population = run_crawl_with(&world, &world.sites, &config, &population_for(&scale, 40));
+    let paper = crawl_each(&world, &config, &population_for(&scale, 15));
+    let population = crawl_each(&world, &config, &population_for(&scale, 40));
     for (a, b) in paper.iter().zip(&population) {
         assert_eq!(a.profile.name, b.profile.name);
         assert_eq!(a.store.export_jsonl(), b.store.export_jsonl(), "{}", a.profile.name);

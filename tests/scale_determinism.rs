@@ -60,8 +60,9 @@ fn tail_generation_is_deterministic_across_builds() {
 
 #[test]
 fn ten_k_crawl_is_byte_identical_across_fleet_widths() {
-    use panoptes_suite::analysis::study::{run_crawl_jobs_with, run_crawl_with};
+    use panoptes_suite::panoptes::campaign::run_crawl;
     use panoptes_suite::panoptes::config::CampaignConfig;
+    use panoptes_suite::panoptes::fleet::{self, FleetUnit, UnitOutput};
 
     // Two browsers with distinct instrumentation paths keep the debug
     // run affordable while still exercising the fleet merge.
@@ -72,10 +73,15 @@ fn ten_k_crawl_is_byte_identical_across_fleet_widths() {
     let world = World::shared(&tailed_config(9_000));
     let config = CampaignConfig { seed: SEED, ..Default::default() };
 
-    let seq = run_crawl_with(&world, &world.sites, &config, &profiles);
-    let par =
-        run_crawl_jobs_with(&world, &world.sites, &config, &FleetOptions::with_jobs(8), &profiles)
-            .expect("fleet crawl");
+    let seq: Vec<_> =
+        profiles.iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect();
+    let units: Vec<FleetUnit> = profiles.iter().cloned().map(FleetUnit::crawl).collect();
+    let par: Vec<_> =
+        fleet::run_units(&world, &world.sites, &config, &units, &FleetOptions::with_jobs(8))
+            .expect("fleet crawl")
+            .into_iter()
+            .filter_map(UnitOutput::into_crawl)
+            .collect();
 
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {

@@ -6,9 +6,9 @@
 use panoptes_suite::analysis::dns::doh_split;
 use panoptes_suite::analysis::history::{summarize_leaks, LeakGranularity};
 use panoptes_suite::analysis::pii::table2;
-use panoptes_suite::analysis::study::run_full_crawl;
+use panoptes_suite::browsers::registry::all_profiles;
 use panoptes_suite::device::DeviceProperties;
-use panoptes_suite::panoptes::campaign::CampaignResult;
+use panoptes_suite::panoptes::campaign::{run_crawl, CampaignResult};
 use panoptes_suite::panoptes::config::CampaignConfig;
 use panoptes_suite::web::generator::GeneratorConfig;
 use panoptes_suite::web::World;
@@ -16,7 +16,7 @@ use panoptes_suite::web::World;
 fn study(seed: u64) -> Vec<CampaignResult> {
     let world = World::build(&GeneratorConfig { popular: 6, sensitive: 4, seed, tail: 0 });
     let config = CampaignConfig { seed, ..Default::default() };
-    run_full_crawl(&world, &world.sites, &config)
+    all_profiles().iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect()
 }
 
 #[test]

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use panoptes::campaign::CampaignResult;
 use panoptes::fleet::{self, FleetOptions, FleetUnit, UnitOutput};
 use panoptes_analysis::engine::{analyze_crawl, analyze_idle, AnalysisResources};
-use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs};
+use panoptes_bench::experiments::{crawl_population_jobs, population_for};
 use panoptes_bench::render;
 use panoptes_browsers::registry::profile_by_name;
 use panoptes_serve::client;
@@ -63,8 +63,14 @@ fn offline_doc(p: &StudyParams, jobs: usize) -> String {
         .map(|pair| (analyze_crawl(&pair[0], &res), analyze_crawl(&pair[1], &res)))
         .collect();
 
-    let idles = idle_population_jobs(&scale, &options, p.population).expect("offline idle fleet");
-    let idle_analyses: Vec<_> = idles.iter().map(analyze_idle).collect();
+    let idle_units: Vec<FleetUnit> = population_for(&scale, p.population)
+        .into_iter()
+        .map(|prof| FleetUnit::idle(prof, scale.idle))
+        .collect();
+    let idles = fleet::run_units(&world, &world.sites, &config, &idle_units, &options)
+        .expect("offline idle fleet");
+    let idle_analyses: Vec<_> =
+        idles.into_iter().filter_map(UnitOutput::into_idle).map(|r| analyze_idle(&r)).collect();
 
     render::full_doc(&scale, &results, &crawl_analyses, &pairs, &idle_analyses)
 }

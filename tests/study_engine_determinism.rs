@@ -5,21 +5,24 @@
 //! * as the legacy multi-pass (one snapshot iteration per detector),
 //! * as the fused single pass ([`analyze_study`]),
 //! * sharded across any fleet worker count,
-//! * or fully overlapped with capture
-//!   ([`run_full_study_analyzed`] — analysis workers consume sealed
-//!   captures while later campaigns are still crawling).
+//! * or overlapped with capture by the study pipeline
+//!   ([`pipeline::run`] — each sealed capture is analysed on the worker
+//!   that produced it while later campaigns are still crawling).
 //!
 //! Fusion, sharding and overlap buy wall-clock time only, never a
 //! different report.
 
+use panoptes::campaign::run_crawl;
 use panoptes::fleet::FleetOptions;
+use panoptes::idle::run_idle;
 use panoptes_analysis::engine::{
     analyze_crawl_sharded, analyze_idle_sharded, analyze_study, analyze_study_jobs,
-    run_full_study_analyzed, AnalysisResources, StudyAnalyses,
+    AnalysisResources, StudyAnalyses,
 };
-use panoptes_analysis::study::{run_full_crawl, run_full_idle};
 use panoptes_analysis::summary::{study_report_from, study_report_multipass};
 use panoptes_bench::experiments::Scale;
+use panoptes_bench::pipeline::{self, StudyPlan};
+use panoptes_browsers::registry::all_profiles;
 use panoptes_simnet::clock::SimDuration;
 
 const IDLE: SimDuration = SimDuration::from_secs(120);
@@ -30,8 +33,10 @@ fn fused_sharded_and_overlapped_reports_are_byte_identical() {
     let world = scale.world();
     let config = scale.config();
 
-    let crawls = run_full_crawl(&world, &world.sites, &config);
-    let idles = run_full_idle(&world, IDLE, &config);
+    let profiles = all_profiles();
+    let crawls: Vec<_> =
+        profiles.iter().map(|p| run_crawl(&world, p, &world.sites, &config)).collect();
+    let idles: Vec<_> = profiles.iter().map(|p| run_idle(&world, p, IDLE, &config)).collect();
     let reference = study_report_multipass(&crawls, &idles);
     let res = AnalysisResources::standard();
 
@@ -67,21 +72,17 @@ fn fused_sharded_and_overlapped_reports_are_byte_identical() {
         );
     }
 
-    // Capture→analysis overlap, sequential and parallel.
+    // The study pipeline (capture→analysis overlap), sequential and
+    // parallel.
+    let plan = StudyPlan::new(&profiles, &config, false, Some(IDLE));
     for jobs in [1usize, 8] {
-        let study = run_full_study_analyzed(
-            &world,
-            &world.sites,
-            &config,
-            IDLE,
-            &FleetOptions::with_jobs(jobs),
-            &res,
-        )
-        .unwrap_or_else(|e| panic!("overlapped study failed at jobs={jobs}: {e}"));
+        let options = FleetOptions::with_jobs(jobs);
+        let (_, analyses) = pipeline::run(&world, &config, &plan, &res, &options, |_, _| {})
+            .unwrap_or_else(|e| panic!("study pipeline failed at jobs={jobs}: {e}"));
         assert_eq!(
             reference,
-            study_report_from(&study.analyses),
-            "overlapped report diverged at jobs={jobs}"
+            study_report_from(&analyses),
+            "pipeline report diverged at jobs={jobs}"
         );
     }
 }
