@@ -5,9 +5,10 @@
 use std::collections::BTreeSet;
 
 use panoptes::campaign::CampaignResult;
-use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_blocklist::HostsList;
 use panoptes_mitm::{Flow, FlowClass};
+
+use crate::engine::{analyze_crawl, AnalysisResources};
 
 /// One browser's Figure 3 row.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,14 +23,8 @@ pub struct AdDomainRow {
     pub ad_percent: f64,
 }
 
-/// Computes the Figure 3 row for one campaign against the bundled list.
-pub fn ad_domain_row(result: &CampaignResult) -> AdDomainRow {
-    ad_domain_row_with(result, &steven_black_excerpt())
-}
-
-/// Mergeable accumulator form of the Figure 3 detector: the distinct
-/// native-host set is an order-insensitive union, so sharded merges are
-/// exactly the sequential set.
+/// Accumulator form of the Figure 3 detector: the distinct hosts
+/// contacted natively.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdDomainPartial {
     hosts: BTreeSet<String>,
@@ -41,11 +36,6 @@ impl AdDomainPartial {
         if flow.class == FlowClass::Native && !self.hosts.contains(flow.host.as_str()) {
             self.hosts.insert(flow.host.to_string());
         }
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: AdDomainPartial) {
-        self.hosts.extend(other.hosts);
     }
 
     /// Finalises the browser's Figure 3 row against `list`.
@@ -66,13 +56,9 @@ impl AdDomainPartial {
     }
 }
 
-/// Computes the row against a caller-provided hosts list.
-pub fn ad_domain_row_with(result: &CampaignResult, list: &HostsList) -> AdDomainRow {
-    let mut partial = AdDomainPartial::default();
-    for f in result.store.snapshot().iter() { // multipass-ok: legacy standalone detector
-        partial.observe(f);
-    }
-    partial.finish(&result.profile.name, list)
+/// Computes the Figure 3 row for one campaign against the bundled list.
+pub fn ad_domain_row(result: &CampaignResult) -> AdDomainRow {
+    analyze_crawl(result, &AnalysisResources::standard()).addomains
 }
 
 /// Figure 3 over a set of campaigns, in input order.

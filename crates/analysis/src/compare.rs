@@ -4,8 +4,8 @@
 
 use panoptes::campaign::CampaignResult;
 
-use crate::history::{summarize_leaks, LeakGranularity};
-use crate::volume::volume_row;
+use crate::engine::{analyze_crawl, AnalysisResources};
+use crate::history::LeakGranularity;
 
 /// The delta between two campaigns of the same browser.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,28 +44,16 @@ impl BrowserDelta {
 /// Compares two runs of the same browser.
 pub fn compare_campaigns(a: &CampaignResult, b: &CampaignResult) -> BrowserDelta {
     assert_eq!(a.profile.package, b.profile.package, "comparing different browsers");
-    let va = volume_row(a);
-    let vb = volume_row(b);
+    let res = AnalysisResources::standard();
+    let (aa, ab) = (analyze_crawl(a, &res), analyze_crawl(b, &res));
     BrowserDelta {
         browser: a.profile.name.to_string(),
-        leak_a: summarize_leaks(a).worst,
-        leak_b: summarize_leaks(b).worst,
-        ratio_a: va.request_ratio,
-        ratio_b: vb.request_ratio,
-        native_delta: vb.native_requests as i64 - va.native_requests as i64,
+        leak_a: aa.leak_summary().worst,
+        leak_b: ab.leak_summary().worst,
+        ratio_a: aa.volume.request_ratio,
+        ratio_b: ab.volume.request_ratio,
+        native_delta: ab.volume.native_requests as i64 - aa.volume.native_requests as i64,
     }
-}
-
-/// Compares two full studies pairwise (matched by browser name; browsers
-/// present in only one study are skipped).
-pub fn compare_studies(a: &[CampaignResult], b: &[CampaignResult]) -> Vec<BrowserDelta> {
-    a.iter()
-        .filter_map(|ra| {
-            b.iter()
-                .find(|rb| rb.profile.package == ra.profile.package)
-                .map(|rb| compare_campaigns(ra, rb))
-        })
-        .collect()
 }
 
 #[cfg(test)]

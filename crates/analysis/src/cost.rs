@@ -18,6 +18,8 @@
 use panoptes::campaign::CampaignResult;
 use panoptes_mitm::{Flow, FlowClass};
 
+use crate::engine::{analyze_crawl, AnalysisResources};
+
 /// First-order radio energy model.
 #[derive(Debug, Clone, Copy)]
 pub struct EnergyModel {
@@ -63,8 +65,7 @@ pub struct CostRow {
     pub joules_per_1000_pages: f64,
 }
 
-/// Mergeable accumulator form of the cost detector: two sums, so any
-/// sharding of the capture merges back to the sequential row.
+/// Accumulator form of the cost detector: native flow and byte sums.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostPartial {
     native_flows: u64,
@@ -78,12 +79,6 @@ impl CostPartial {
             self.native_flows += 1;
             self.native_bytes += flow.bytes_out + flow.bytes_in;
         }
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: CostPartial) {
-        self.native_flows += other.native_flows;
-        self.native_bytes += other.native_bytes;
     }
 
     /// Finalises the browser's cost row under `model`.
@@ -103,11 +98,8 @@ impl CostPartial {
 
 /// Computes the §3.1 cost quantities for one campaign.
 pub fn cost_row(result: &CampaignResult, model: &EnergyModel) -> CostRow {
-    let mut partial = CostPartial::default();
-    for f in result.store.snapshot().iter() { // multipass-ok: legacy standalone detector
-        partial.observe(f);
-    }
-    partial.finish(&result.profile.name, result.visits.len(), model)
+    let res = AnalysisResources { energy: *model, ..AnalysisResources::standard() };
+    analyze_crawl(result, &res).cost
 }
 
 /// Cost table over a study, most expensive first.

@@ -6,6 +6,8 @@
 use panoptes::campaign::CampaignResult;
 use panoptes_simnet::dns::{DnsLogEntry, DohProvider, ResolverKind};
 
+use crate::engine::{analyze_crawl, AnalysisResources};
+
 /// What the wire shows about a browser's resolver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObservedResolver {
@@ -28,10 +30,9 @@ pub struct DnsRow {
     pub lookups: usize,
 }
 
-/// Mergeable accumulator form of the DNS detector, fed with resolver-log
-/// entries instead of flows. `merge` is **ordered** — `other` must cover
-/// entries strictly after `self`'s — so "first DoH lookup wins" survives
-/// sharding.
+/// Accumulator form of the DNS detector, fed with resolver-log entries
+/// (in log order) instead of flows: the first DoH provider seen and the
+/// lookup count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DnsPartial {
     doh: Option<DohProvider>,
@@ -49,14 +50,6 @@ impl DnsPartial {
         self.lookups += 1;
     }
 
-    /// Absorbs a later shard's accumulator (entries after `self`'s).
-    pub fn merge(&mut self, other: DnsPartial) {
-        if self.doh.is_none() {
-            self.doh = other.doh;
-        }
-        self.lookups += other.lookups;
-    }
-
     /// Finalises the browser's DNS row.
     pub fn finish(self, browser: &str) -> DnsRow {
         let resolver = match (self.doh, self.lookups) {
@@ -72,11 +65,7 @@ impl DnsPartial {
 /// appear as native HTTPS to the provider; stub queries only show in the
 /// resolver log.
 pub fn dns_row(result: &CampaignResult) -> DnsRow {
-    let mut partial = DnsPartial::default();
-    for entry in result.dns_log.iter() {
-        partial.observe(entry);
-    }
-    partial.finish(&result.profile.name)
+    analyze_crawl(result, &AnalysisResources::standard()).dns
 }
 
 /// The §3.2 split over a full study.

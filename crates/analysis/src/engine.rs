@@ -1,27 +1,19 @@
-//! The fused, sharded study engine.
+//! The study engine: every detector's one implementation.
 //!
-//! The legacy analysis path walks each capture once **per detector** —
-//! ~10 independent passes over the same snapshot. This module turns the
-//! whole report into a map-reduce over the capture instead:
+//! Each detector exposes an accumulator (`observe`/`finish`), and
+//! [`CrawlPartials`] bundles them so one iteration over a capture feeds
+//! every detector at once ([`analyze_crawl`]; [`analyze_idle`] for the
+//! idle window). The per-detector entry points (`detect_history_leaks`,
+//! `pii_row`, `volume_row`, …) are projections of one field of that
+//! fold, so each §3 result is computed by exactly one code path.
 //!
-//! * **fused** — every detector exposes a mergeable `Partial`
-//!   accumulator (`observe`/`merge`/`finish`); [`CrawlPartials`]
-//!   bundles them so one iteration over the snapshot feeds all
-//!   detectors at once ([`analyze_crawl`]);
-//! * **sharded** — the fused pass splits the capture into contiguous
-//!   [`shard_ranges`](fleet::shard_ranges) executed across the fleet
-//!   worker pool, then merges the per-shard partials **in shard order**
-//!   ([`analyze_crawl_sharded`]). Because every partial's merge is
-//!   either order-insensitive (sums, set unions) or explicitly ordered
-//!   (first-occurrence fields), the merged report is byte-identical to
-//!   the sequential one for any shard count.
+//! Parallelism lives one layer up, at the grain of the unit: the study
+//! pipeline (`panoptes_bench::pipeline`) analyses each unit's capture on
+//! the worker that produced it while other workers are still crawling,
+//! and [`analyze_study_jobs`] spreads whole campaigns over the fleet.
 //!
-//! Capture→analysis overlap lives one layer up, in the study pipeline
-//! (`panoptes_bench::pipeline`): each unit's capture is analysed on the
-//! worker that produced it while other workers are still crawling.
-//!
-//! `tests/study_engine_determinism.rs` (workspace root) enforces the
-//! byte-identity across these paths and the pipeline end-to-end.
+//! `tests/study_engine_determinism.rs` (workspace root) holds the
+//! rendered report to a committed golden file across these paths.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
@@ -49,13 +41,9 @@ use crate::sensitive::{SensitivePartial, SensitiveRow};
 use crate::transfers::{TransferPartial, TransferRow};
 use crate::volume::{VolumePartial, VolumeRow};
 
-/// Stable identifiers are reported when they recur in at least this
-/// many flows to one destination (the §3.3 threshold).
-pub const IDENTIFIER_MIN_FLOWS: usize = 2;
-
 /// The per-campaign ground truth every context-dependent detector joins
 /// against — visited URLs/hosts/domains and the sensitive subset —
-/// built once per campaign and shared by all shards.
+/// built once per campaign.
 pub struct CrawlContext<'a> {
     /// URLs the harness navigated to.
     pub visited_urls: HashSet<&'a str>,
@@ -126,11 +114,10 @@ impl AnalysisResources {
 }
 
 /// Every crawl detector's accumulator, bundled so one fused iteration
-/// over the capture feeds them all. `merge` is **ordered**: `other`
-/// must cover flows strictly after `self`'s shard (shard order), which
-/// is what lets the first-occurrence detectors (PII, transfers)
-/// reproduce the sequential result exactly.
-#[derive(Debug, Default, PartialEq)]
+/// over the capture feeds them all. Flows are observed in capture
+/// order, which the first-occurrence detectors (PII, transfers) rely
+/// on.
+#[derive(Debug, Default)]
 pub struct CrawlPartials {
     /// Figure 2/4 sums.
     pub volume: VolumePartial,
@@ -156,7 +143,7 @@ impl CrawlPartials {
     /// Fusion shares more than the snapshot iteration: the first-party
     /// test runs once for history *and* sensitive, one decoded-values
     /// sweep feeds both, and one raw-observations sweep feeds pii *and*
-    /// identifiers — work each standalone detector repeats for itself.
+    /// identifiers.
     pub fn observe(
         &mut self,
         view: &crate::facts::FlowView<'_>,
@@ -169,7 +156,12 @@ impl CrawlPartials {
         self.cost.observe(flow);
         self.transfers.observe(flow);
 
+        // A site reporting itself to itself is not a leak: skip flows to
+        // any *visited* site's own domain.
         if !ctx.visited_domains.contains(view.registrable_domain()) {
+            // DNS-over-HTTPS lookups necessarily carry the queried
+            // hostname; the paper reports the DoH behaviour separately
+            // (§3.2, see `crate::dns`) rather than as a history leak.
             let channel = if crate::history::is_doh_flow(flow) {
                 None
             } else {
@@ -202,18 +194,6 @@ impl CrawlPartials {
             }
         }
     }
-
-    /// Absorbs a later shard's accumulators, detector by detector.
-    pub fn merge(&mut self, other: CrawlPartials) {
-        self.volume.merge(other.volume);
-        self.addomains.merge(other.addomains);
-        self.history.merge(other.history);
-        self.pii.merge(other.pii);
-        self.identifiers.merge(other.identifiers);
-        self.transfers.merge(other.transfers);
-        self.sensitive.merge(other.sensitive);
-        self.cost.merge(other.cost);
-    }
 }
 
 /// Every §3 result of one crawl campaign, computed by the fused pass.
@@ -234,7 +214,8 @@ pub struct CampaignAnalysis {
     pub history_leaks: Vec<HistoryLeak>,
     /// Table 2 row.
     pub pii: PiiRow,
-    /// §3.3 stable identifiers (at [`IDENTIFIER_MIN_FLOWS`]).
+    /// §3.3 stable identifiers (at
+    /// [`IDENTIFIER_MIN_FLOWS`](crate::identifiers::IDENTIFIER_MIN_FLOWS)).
     pub identifiers: Vec<IdentifierSighting>,
     /// §3.4 transfer row (None when the browser leaks nothing).
     pub transfers: Option<TransferRow>,
@@ -253,7 +234,7 @@ impl CampaignAnalysis {
     }
 }
 
-/// Finalises a campaign's merged partials into the full analysis.
+/// Finalises a campaign's partials into the full analysis.
 fn finish_crawl(
     result: &CampaignResult,
     partials: CrawlPartials,
@@ -272,9 +253,7 @@ fn finish_crawl(
         addomains: partials.addomains.finish(browser, &res.ad_list),
         history_leaks,
         pii: partials.pii.finish(browser),
-        identifiers: partials
-            .identifiers
-            .finish(browser, IDENTIFIER_MIN_FLOWS, &res.ad_list),
+        identifiers: partials.identifiers.finish(browser, &res.ad_list),
         transfers,
         sensitive: partials.sensitive.finish(browser, ctx.sensitive_urls.len()),
         dns: dns.finish(browser),
@@ -313,64 +292,6 @@ pub fn analyze_crawl(result: &CampaignResult, res: &AnalysisResources) -> Campai
         partials.observe(&view, &ctx, &matcher);
     }
     finish_crawl(result, partials, dns_partial(result), &ctx, res)
-}
-
-/// Analyses one crawl campaign with the fused pass **sharded** across
-/// the fleet worker pool: the capture splits into contiguous near-equal
-/// ranges, each shard folds its range into its own [`CrawlPartials`],
-/// and the shards merge in order. Byte-identical to [`analyze_crawl`]
-/// for any worker count.
-pub fn analyze_crawl_sharded(
-    result: &CampaignResult,
-    res: &AnalysisResources,
-    options: &FleetOptions,
-) -> CampaignAnalysis {
-    let _span = panoptes_obs::trace::span_with("study.analyze_crawl_sharded", None, || {
-        result.profile.name.to_string()
-    });
-    let ctx = CrawlContext::of(result);
-    let matcher = PiiMatcher::new(&res.props);
-    let snap = result.store.snapshot();
-    let facts = capture_facts(&snap);
-    let flows = snap.all();
-    panoptes_obs::count!("study.flows.observed", Deterministic, flows.len() as u64);
-    let ranges = fleet::shard_ranges(flows.len(), options.effective_jobs(flows.len()));
-    for range in &ranges {
-        // Runtime-class: the shard topology changes with `--jobs` by
-        // construction, so the skew histogram is excluded from the
-        // byte-identity guarantee.
-        panoptes_obs::record!("study.shard.flows", Runtime, range.len() as u64);
-    }
-    let labels: Vec<String> = ranges
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            format!(
-                "{} analysis shard {i} ({} flows)",
-                result.profile.name,
-                r.len()
-            )
-        })
-        .collect();
-    let shards = fleet::execute(&labels, options, |i| {
-        let mut partials = CrawlPartials::default();
-        for view in facts.views(flows.slice(ranges[i].clone())) {
-            partials.observe(&view, &ctx, &matcher);
-        }
-        partials
-    })
-    .unwrap_or_else(|e| panic!("sharded analysis failed: {e}"));
-    let merge_start = std::time::Instant::now();
-    let mut merged = CrawlPartials::default();
-    for shard in shards {
-        merged.merge(shard);
-    }
-    panoptes_obs::record!(
-        "study.merge.wall_us",
-        Runtime,
-        merge_start.elapsed().as_micros() as u64
-    );
-    finish_crawl(result, merged, dns_partial(result), &ctx, res)
 }
 
 /// Every §3.5 result of one idle campaign. The offset/domain histograms
@@ -418,49 +339,6 @@ pub fn analyze_idle(result: &IdleResult) -> IdleAnalysis {
         idle_sent: result.idle_sent,
         duration: result.duration,
         partial,
-    }
-}
-
-/// Like [`analyze_idle`], sharded across the worker pool with in-order
-/// merge — byte-identical for any worker count.
-pub fn analyze_idle_sharded(result: &IdleResult, options: &FleetOptions) -> IdleAnalysis {
-    let _span = panoptes_obs::trace::span_with("study.analyze_idle_sharded", None, || {
-        result.profile.name.to_string()
-    });
-    let snap = result.store.snapshot();
-    let flows = snap.all();
-    let start = result.idle_start.0;
-    panoptes_obs::count!(
-        "study.idle_flows.observed",
-        Deterministic,
-        flows.len() as u64
-    );
-    let ranges = fleet::shard_ranges(flows.len(), options.effective_jobs(flows.len()));
-    for range in &ranges {
-        panoptes_obs::record!("study.shard.flows", Runtime, range.len() as u64);
-    }
-    let labels: Vec<String> = ranges
-        .iter()
-        .enumerate()
-        .map(|(i, r)| format!("{} idle shard {i} ({} flows)", result.profile.name, r.len()))
-        .collect();
-    let shards = fleet::execute(&labels, options, |i| {
-        let mut partial = IdlePartial::default();
-        for flow in flows.slice(ranges[i].clone()) {
-            partial.observe(flow, start);
-        }
-        partial
-    })
-    .unwrap_or_else(|e| panic!("sharded idle analysis failed: {e}"));
-    let mut merged = IdlePartial::default();
-    for shard in shards {
-        merged.merge(shard);
-    }
-    IdleAnalysis {
-        browser: result.profile.name.to_string(),
-        idle_sent: result.idle_sent,
-        duration: result.duration,
-        partial: merged,
     }
 }
 
@@ -532,121 +410,4 @@ pub fn analyze_study_jobs(
             .map(|slot| slot.expect("fleet reported success"))
             .collect(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use panoptes::campaign::run_crawl;
-    use panoptes::config::CampaignConfig;
-    use panoptes::idle::run_idle;
-    use panoptes_browsers::registry::profile_by_name;
-    use panoptes_web::generator::GeneratorConfig;
-    use panoptes_web::World;
-
-    use crate::addomains::ad_domain_row;
-    use crate::cost::cost_row;
-    use crate::dns::dns_row;
-    use crate::history::detect_history_leaks;
-    use crate::identifiers::find_identifiers;
-    use crate::idle::{destination_shares, timeline};
-    use crate::pii::pii_row;
-    use crate::sensitive::sensitive_row;
-    use crate::transfers::transfer_row;
-    use crate::volume::volume_row;
-
-    fn small_world() -> World {
-        World::build(&GeneratorConfig {
-            popular: 6,
-            sensitive: 4,
-            ..Default::default()
-        })
-    }
-
-    #[test]
-    fn fused_analysis_matches_every_legacy_detector() {
-        let world = small_world();
-        let config = CampaignConfig::default();
-        let res = AnalysisResources::standard();
-        for name in ["Yandex", "Opera", "Chrome", "UC International"] {
-            let result = run_crawl(
-                &world,
-                &profile_by_name(name).unwrap(),
-                &world.sites,
-                &config,
-            );
-            let a = analyze_crawl(&result, &res);
-            assert_eq!(a.volume, volume_row(&result), "{name}");
-            assert_eq!(a.addomains, ad_domain_row(&result), "{name}");
-            assert_eq!(a.history_leaks, detect_history_leaks(&result), "{name}");
-            assert_eq!(a.pii, pii_row(&result, &res.props), "{name}");
-            assert_eq!(
-                a.identifiers,
-                find_identifiers(&result, IDENTIFIER_MIN_FLOWS),
-                "{name}"
-            );
-            assert_eq!(a.transfers, transfer_row(&result, &res.geo), "{name}");
-            assert_eq!(a.sensitive, sensitive_row(&result), "{name}");
-            assert_eq!(a.dns, dns_row(&result), "{name}");
-            assert_eq!(a.cost, cost_row(&result, &res.energy), "{name}");
-        }
-    }
-
-    #[test]
-    fn sharded_analysis_matches_sequential_for_any_worker_count() {
-        let world = small_world();
-        let config = CampaignConfig::default();
-        let res = AnalysisResources::standard();
-        let result = run_crawl(
-            &world,
-            &profile_by_name("Yandex").unwrap(),
-            &world.sites,
-            &config,
-        );
-        let sequential = analyze_crawl(&result, &res);
-        for jobs in [1usize, 2, 3, 8] {
-            let sharded = analyze_crawl_sharded(&result, &res, &FleetOptions::with_jobs(jobs));
-            assert_eq!(sharded.volume, sequential.volume, "jobs={jobs}");
-            assert_eq!(
-                sharded.history_leaks, sequential.history_leaks,
-                "jobs={jobs}"
-            );
-            assert_eq!(sharded.pii, sequential.pii, "jobs={jobs}");
-            assert_eq!(sharded.identifiers, sequential.identifiers, "jobs={jobs}");
-            assert_eq!(sharded.transfers, sequential.transfers, "jobs={jobs}");
-            assert_eq!(sharded.sensitive, sequential.sensitive, "jobs={jobs}");
-            assert_eq!(sharded.addomains, sequential.addomains, "jobs={jobs}");
-            assert_eq!(sharded.cost, sequential.cost, "jobs={jobs}");
-            assert_eq!(sharded.dns, sequential.dns, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn sharded_idle_matches_sequential() {
-        let world = small_world();
-        let config = CampaignConfig::default();
-        let result = run_idle(
-            &world,
-            &profile_by_name("Opera").unwrap(),
-            SimDuration::from_secs(300),
-            &config,
-        );
-        let bucket = SimDuration::from_secs(10);
-        let sequential = analyze_idle(&result);
-        assert_eq!(sequential.timeline(bucket), timeline(&result, bucket));
-        assert_eq!(sequential.destination_shares(), destination_shares(&result));
-        for jobs in [2usize, 5] {
-            let sharded = analyze_idle_sharded(&result, &FleetOptions::with_jobs(jobs));
-            assert_eq!(
-                sharded.timeline(bucket),
-                sequential.timeline(bucket),
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                sharded.destination_shares(),
-                sequential.destination_shares(),
-                "jobs={jobs}"
-            );
-        }
-    }
 }

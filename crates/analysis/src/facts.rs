@@ -172,7 +172,7 @@ impl CaptureFacts {
     }
 
     /// Views over any of the snapshot's flow windows (capture order, a
-    /// class view, a package view, a shard slice).
+    /// class view, a package view).
     pub fn views<'a>(&'a self, flows: Flows<'a>) -> impl Iterator<Item = FlowView<'a>> {
         flows.iter().map(move |f| self.of(f))
     }

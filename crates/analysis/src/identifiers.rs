@@ -10,12 +10,14 @@
 use std::collections::{BTreeMap, HashMap};
 
 use panoptes::campaign::CampaignResult;
-use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_blocklist::HostsList;
-use panoptes_mitm::FlowClass;
 
-use crate::facts::{capture_facts, FlowView};
+use crate::engine::{analyze_crawl, AnalysisResources};
 use crate::scan::looks_like_identifier;
+
+/// Stable identifiers are reported when they recur in at least this
+/// many flows to one destination (the §3.3 threshold).
+pub const IDENTIFIER_MIN_FLOWS: usize = 2;
 
 /// One stable identifier observed at one destination.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,9 +38,9 @@ pub struct IdentifierSighting {
     pub ad_related: bool,
 }
 
-/// Mergeable accumulator form of the stable-identifier detector: the
-/// per-flow dedup is local to `observe`, and the cross-flow state is a
-/// pure count map, so sharded merges sum back to the sequential counts.
+/// Accumulator form of the stable-identifier detector: a count of the
+/// flows carrying each (destination, key, value), each flow counted
+/// once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdentifierPartial {
     /// (destination, key, value) → flow count.
@@ -46,21 +48,9 @@ pub struct IdentifierPartial {
 }
 
 impl IdentifierPartial {
-    /// Folds one captured flow into the accumulator (native flows only).
-    pub fn observe(&mut self, view: &FlowView<'_>) {
-        if view.class != FlowClass::Native {
-            return;
-        }
-        let mut seen_in_flow: HashMap<(&str, &str), ()> = HashMap::new();
-        for obs in view.observations() {
-            self.scan_observation(&view.host, obs, &mut seen_in_flow);
-        }
-    }
-
     /// Tests one observation for a high-entropy token and counts it once
     /// per flow (`seen_in_flow` is the flow-local dedup, reset per
-    /// flow). Shared between [`observe`](Self::observe) and the fused
-    /// engine pass.
+    /// flow). Called by the fused engine pass for native flows.
     pub(crate) fn scan_observation<'a>(
         &mut self,
         destination: &str,
@@ -79,23 +69,12 @@ impl IdentifierPartial {
         }
     }
 
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: IdentifierPartial) {
-        for (key, n) in other.counts {
-            *self.counts.entry(key).or_default() += n;
-        }
-    }
-
-    /// Finalises the browser's identifier sightings at `min_flows`.
-    pub fn finish(
-        self,
-        browser: &str,
-        min_flows: usize,
-        ad_list: &HostsList,
-    ) -> Vec<IdentifierSighting> {
+    /// Finalises the browser's identifier sightings at
+    /// [`IDENTIFIER_MIN_FLOWS`].
+    pub fn finish(self, browser: &str, ad_list: &HostsList) -> Vec<IdentifierSighting> {
         self.counts
             .into_iter()
-            .filter(|(_, n)| *n >= min_flows)
+            .filter(|(_, n)| *n >= IDENTIFIER_MIN_FLOWS)
             .map(|((destination, key, value), flows)| IdentifierSighting {
                 browser: browser.to_string(),
                 ad_related: ad_list.contains(&destination),
@@ -110,20 +89,15 @@ impl IdentifierPartial {
 
 /// Finds stable identifiers in a campaign's native traffic: a token
 /// counts when it looks high-entropy and recurs in at least
-/// `min_flows` flows to the same destination under the same key.
-pub fn find_identifiers(result: &CampaignResult, min_flows: usize) -> Vec<IdentifierSighting> {
-    let mut partial = IdentifierPartial::default();
-    let snap = result.store.snapshot(); // multipass-ok: legacy standalone detector
-    let facts = capture_facts(&snap);
-    for view in facts.views(snap.native()) {
-        partial.observe(&view);
-    }
-    partial.finish(&result.profile.name, min_flows, &steven_black_excerpt())
+/// [`IDENTIFIER_MIN_FLOWS`] flows to the same destination under the
+/// same key.
+pub fn find_identifiers(result: &CampaignResult) -> Vec<IdentifierSighting> {
+    analyze_crawl(result, &AnalysisResources::standard()).identifiers
 }
 
 /// Per-browser roll-up: does any stable identifier reach an ad server?
 pub fn identifier_to_ad_server(result: &CampaignResult) -> Option<IdentifierSighting> {
-    find_identifiers(result, 2).into_iter().find(|s| s.ad_related)
+    find_identifiers(result).into_iter().find(|s| s.ad_related)
 }
 
 #[cfg(test)]
@@ -161,7 +135,7 @@ mod tests {
     #[test]
     fn yandex_uid_is_stable_but_goes_to_the_vendor() {
         let result = crawl("Yandex");
-        let sightings = find_identifiers(&result, 2);
+        let sightings = find_identifiers(&result);
         let yuid = sightings
             .iter()
             .find(|s| s.destination == "api.browser.yandex.ru")
@@ -174,19 +148,17 @@ mod tests {
     fn clean_browsers_have_no_stable_identifiers() {
         for name in ["Chrome", "Brave", "DuckDuckGo"] {
             let result = crawl(name);
-            let sightings = find_identifiers(&result, 2);
+            let sightings = find_identifiers(&result);
             assert!(sightings.is_empty(), "{name}: {sightings:?}");
         }
     }
 
     #[test]
     fn threshold_filters_one_off_tokens() {
-        let result = crawl("Opera");
-        let all = find_identifiers(&result, 1);
-        let recurring = find_identifiers(&result, 2);
-        assert!(all.len() >= recurring.len());
+        let recurring = find_identifiers(&crawl("Opera"));
+        assert!(!recurring.is_empty());
         for s in &recurring {
-            assert!(s.flows >= 2);
+            assert!(s.flows >= IDENTIFIER_MIN_FLOWS);
         }
     }
 }

@@ -15,6 +15,8 @@ use panoptes_http::url::registrable_domain;
 use panoptes_mitm::{Flow, FlowClass};
 use panoptes_simnet::clock::SimDuration;
 
+use crate::engine::analyze_idle;
+
 /// One browser's Figure 5 series.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdleTimeline {
@@ -54,15 +56,14 @@ impl IdleTimeline {
     }
 }
 
-/// Mergeable accumulator form of the idle detectors: per-second offset
-/// counts feed [`IdlePartial::timeline`], per-domain counts feed
+/// Accumulator form of the idle detectors: per-second offset counts
+/// feed [`IdlePartial::timeline`], per-domain counts feed
 /// [`IdlePartial::destination_shares`] — both derived from one pass over
-/// the capture instead of one pass each.
+/// the capture.
 ///
-/// The asymmetry of the legacy detectors is preserved deliberately: the
-/// timeline drops flows past the idle window, while destination shares
-/// count every in-window-or-later native flow (matching `timeline` /
-/// `destination_shares` exactly, bucket for bucket and byte for byte).
+/// The two differ deliberately: the timeline drops flows past the idle
+/// window, while destination shares count every native flow at or after
+/// idle start.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdlePartial {
     /// Seconds-since-idle-start → native flow count (no upper bound).
@@ -85,17 +86,6 @@ impl IdlePartial {
         *self.offsets.entry(offset_secs).or_default() += 1;
         *self.domains.entry(registrable_domain(&flow.host)).or_default() += 1;
         self.total += 1;
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: IdlePartial) {
-        for (offset, n) in other.offsets {
-            *self.offsets.entry(offset).or_default() += n;
-        }
-        for (domain, n) in other.domains {
-            *self.domains.entry(domain).or_default() += n;
-        }
-        self.total += other.total;
     }
 
     /// Finalises the Figure 5 cumulative timeline at `bucket` width over
@@ -139,20 +129,10 @@ impl IdlePartial {
     }
 }
 
-/// Builds the accumulator for one idle capture (one pass).
-fn idle_partial(result: &IdleResult) -> IdlePartial {
-    let mut partial = IdlePartial::default();
-    let start = result.idle_start.0;
-    for flow in result.store.snapshot().iter() { // multipass-ok: legacy standalone detector
-        partial.observe(flow, start);
-    }
-    partial
-}
-
 /// Buckets an idle capture into a cumulative timeline. Only flows inside
 /// the idle window count (launch traffic is excluded).
 pub fn timeline(result: &IdleResult, bucket: SimDuration) -> IdleTimeline {
-    idle_partial(result).timeline(&result.profile.name, bucket, result.duration)
+    analyze_idle(result).timeline(bucket)
 }
 
 /// One destination's share of a browser's idle natives (§3.5).
@@ -168,7 +148,7 @@ pub struct DestinationShare {
 
 /// Destination shares of the idle window, largest first.
 pub fn destination_shares(result: &IdleResult) -> Vec<DestinationShare> {
-    idle_partial(result).destination_shares()
+    analyze_idle(result).destination_shares()
 }
 
 /// Convenience: one domain's share in percent.

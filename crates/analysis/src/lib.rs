@@ -1,7 +1,11 @@
 //! # panoptes-analysis
 //!
 //! The measurement analyses of the paper's §3, run against captured flow
-//! databases. Each module regenerates one artefact:
+//! databases. Every detector has one implementation: an accumulator
+//! that [`engine::analyze_crawl`] (or [`engine::analyze_idle`]) feeds in
+//! one pass over the capture. Each module's entry point (`pii_row`,
+//! `detect_history_leaks`, …) projects its result out of that pass.
+//! Each module regenerates one artefact:
 //!
 //! * [`facts`] — the parse-once layer every pass shares: memoised
 //!   per-flow URLs, observations and decodings over the sealed
@@ -22,11 +26,10 @@
 //! * [`sensitive`] — §3.2's sensitive-category leak check,
 //! * [`idle`] — Figure 5 timelines and §3.5 destination shares,
 //! * [`engine`] — the fused single-pass study engine: every detector's
-//!   mergeable `Partial` folded in one iteration over the capture,
-//!   sharded across the fleet pool,
+//!   `Partial` folded in one iteration over the capture,
 //! * [`summary`] — a machine-readable JSON document of every result,
-//! * [`compare`] — per-browser deltas between two studies (longitudinal
-//!   / A-B workflows),
+//! * [`compare`] — per-browser deltas between two runs of one browser
+//!   (longitudinal / A-B workflows),
 //! * [`identifiers`] — stable device/user identifiers across native
 //!   destinations (Listing 1's `operaId` pattern),
 //! * [`cost`] — §3.1's user-borne costs: data-plan bytes and radio

@@ -14,9 +14,8 @@
 use panoptes::campaign::CampaignResult;
 use panoptes_browsers::PiiField;
 use panoptes_device::DeviceProperties;
-use panoptes_mitm::FlowClass;
 
-use crate::facts::{capture_facts, FlowView};
+use crate::engine::{analyze_crawl, AnalysisResources};
 
 /// One browser's Table 2 row: which fields were observed leaking, with
 /// an example destination per field.
@@ -99,29 +98,16 @@ impl<'a> PiiMatcher<'a> {
     }
 }
 
-/// Mergeable accumulator form of the Table 2 detector. Each field keeps
-/// its *first* matching destination in capture order; `merge` is
-/// **ordered** (`other` covers flows strictly after `self`'s shard), so
-/// first-match-wins survives sharding and the merged row is byte-equal
-/// to the sequential one.
+/// Accumulator form of the Table 2 detector. Each field keeps its
+/// *first* matching destination in capture order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PiiPartial {
     leaked: Vec<(PiiField, String)>,
 }
 
 impl PiiPartial {
-    /// Folds one captured flow into the accumulator (native flows only).
-    pub fn observe(&mut self, view: &FlowView<'_>, matcher: &PiiMatcher<'_>) {
-        if view.class != FlowClass::Native {
-            return;
-        }
-        for obs in view.observations() {
-            self.scan_observation(matcher, &view.host, obs);
-        }
-    }
-
-    /// Tests one observation against every still-unseen field. Shared
-    /// between [`observe`](Self::observe) and the fused engine pass.
+    /// Tests one observation against every still-unseen field. Called
+    /// by the fused engine pass for native flows.
     pub(crate) fn scan_observation(
         &mut self,
         matcher: &PiiMatcher<'_>,
@@ -147,15 +133,6 @@ impl PiiPartial {
         }
     }
 
-    /// Absorbs a later shard's accumulator (flows after `self`'s).
-    pub fn merge(&mut self, other: PiiPartial) {
-        for (field, host) in other.leaked {
-            if !self.leaked.iter().any(|(f, _)| *f == field) {
-                self.leaked.push((field, host));
-            }
-        }
-    }
-
     /// Finalises the browser's Table 2 row.
     pub fn finish(self, browser: &str) -> PiiRow {
         let mut leaked = self.leaked;
@@ -166,14 +143,8 @@ impl PiiPartial {
 
 /// Scans a campaign's *native* flows for the Table 2 fields.
 pub fn pii_row(result: &CampaignResult, props: &DeviceProperties) -> PiiRow {
-    let matcher = PiiMatcher::new(props);
-    let mut partial = PiiPartial::default();
-    let snap = result.store.snapshot(); // multipass-ok: legacy standalone detector
-    let facts = capture_facts(&snap);
-    for view in facts.views(snap.native()) {
-        partial.observe(&view, &matcher);
-    }
-    partial.finish(&result.profile.name)
+    let res = AnalysisResources { props: props.clone(), ..AnalysisResources::standard() };
+    analyze_crawl(result, &res).pii
 }
 
 /// Table 2 over a set of campaigns (device props shared — one testbed).

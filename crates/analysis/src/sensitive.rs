@@ -7,8 +7,7 @@ use std::collections::BTreeSet;
 
 use panoptes::campaign::CampaignResult;
 
-use crate::engine::CrawlContext;
-use crate::facts::{capture_facts, FlowView};
+use crate::engine::{analyze_crawl, AnalysisResources, CrawlContext};
 
 /// One browser's sensitive-leak row.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,28 +22,16 @@ pub struct SensitiveRow {
     pub example: Option<String>,
 }
 
-/// Mergeable accumulator form of the §3.2 sensitive-content detector:
-/// the leaked-URL set is an order-insensitive union, so any sharding of
-/// the capture merges back to the sequential row.
+/// Accumulator form of the §3.2 sensitive-content detector: the set of
+/// sensitive visit URLs seen leaving to third parties.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SensitivePartial {
     leaked: BTreeSet<String>,
 }
 
 impl SensitivePartial {
-    /// Folds one captured flow into the accumulator.
-    pub fn observe(&mut self, view: &FlowView<'_>, ctx: &CrawlContext<'_>) {
-        if ctx.visited_domains.contains(view.registrable_domain()) {
-            return; // first-party traffic is not a leak
-        }
-        for (_, decoded_values) in view.decoded_observations() {
-            self.scan_values(decoded_values, ctx);
-        }
-    }
-
     /// Tests one observation's decodings against the sensitive ground
-    /// truth. Shared between [`observe`](Self::observe) and the fused
-    /// engine pass.
+    /// truth. Called by the fused engine pass for third-party flows.
     pub(crate) fn scan_values(&mut self, decoded_values: &[String], ctx: &CrawlContext<'_>) {
         for decoded in decoded_values {
             // The ground truth holds full visit URLs, which always
@@ -57,11 +44,6 @@ impl SensitivePartial {
                 self.leaked.insert(decoded.clone());
             }
         }
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: SensitivePartial) {
-        self.leaked.extend(other.leaked);
     }
 
     /// Finalises the browser's sensitive-leak row.
@@ -78,14 +60,7 @@ impl SensitivePartial {
 
 /// Checks whether sensitive visits leak in full detail.
 pub fn sensitive_row(result: &CampaignResult) -> SensitiveRow {
-    let ctx = CrawlContext::of(result);
-    let mut partial = SensitivePartial::default();
-    let snap = result.store.snapshot(); // multipass-ok: legacy standalone detector
-    let facts = capture_facts(&snap);
-    for view in facts.views(snap.all()) {
-        partial.observe(&view, &ctx);
-    }
-    partial.finish(&result.profile.name, ctx.sensitive_urls.len())
+    analyze_crawl(result, &AnalysisResources::standard()).sensitive
 }
 
 #[cfg(test)]

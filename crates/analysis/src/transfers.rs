@@ -16,7 +16,8 @@ use panoptes_http::netaddr::IpAddr;
 
 use panoptes_mitm::Flow;
 
-use crate::history::{detect_history_leaks, HistoryLeak, LeakGranularity};
+use crate::engine::{analyze_crawl, AnalysisResources};
+use crate::history::{HistoryLeak, LeakGranularity};
 
 /// Where one browser's history leaks land.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,11 +32,9 @@ pub struct TransferRow {
     pub leaves_eu: bool,
 }
 
-/// Mergeable accumulator form of the §3.4 detector's capture pass: the
-/// destination-host → first-seen IP map. `merge` is **ordered** (`other`
-/// covers flows strictly after `self`'s shard) so first-IP-wins survives
-/// sharding; the geolocation itself happens at `finish` against the
-/// history leaks.
+/// Accumulator form of the §3.4 detector's capture pass: the
+/// destination-host → first-seen IP map. The geolocation itself happens
+/// at `finish` against the history leaks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransferPartial {
     dest_ip: BTreeMap<String, IpAddr>,
@@ -46,13 +45,6 @@ impl TransferPartial {
     pub fn observe(&mut self, flow: &Flow) {
         if !self.dest_ip.contains_key(flow.host.as_str()) {
             self.dest_ip.insert(flow.host.to_string(), flow.dst_ip);
-        }
-    }
-
-    /// Absorbs a later shard's accumulator (flows after `self`'s).
-    pub fn merge(&mut self, other: TransferPartial) {
-        for (host, ip) in other.dest_ip {
-            self.dest_ip.entry(host).or_insert(ip);
         }
     }
 
@@ -89,12 +81,8 @@ impl TransferPartial {
 
 /// Geolocates every history-leak destination of a campaign.
 pub fn transfer_row(result: &CampaignResult, geo: &GeoDb) -> Option<TransferRow> {
-    let leaks = detect_history_leaks(result);
-    let mut partial = TransferPartial::default();
-    for flow in result.store.snapshot().iter() { // multipass-ok: legacy standalone detector
-        partial.observe(flow);
-    }
-    partial.finish(&result.profile.name, &leaks, geo)
+    let res = AnalysisResources { geo: geo.clone(), ..AnalysisResources::standard() };
+    analyze_crawl(result, &res).transfers
 }
 
 /// §3.4 over a full study: rows for every browser that leaks history.

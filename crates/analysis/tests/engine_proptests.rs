@@ -1,28 +1,29 @@
 //! Property-based tests for the fused study engine: for *arbitrary*
-//! captures and any shard count, sharding the fused pass and merging
-//! the per-shard partials in shard order reproduces the sequential
-//! accumulator exactly — the invariant every byte-identity guarantee in
-//! `engine.rs` rests on.
+//! captures the fused fold ([`CrawlPartials::observe`]) never panics,
+//! and every finding it reports points at traffic that could carry it —
+//! history leaks at third-party Native/Engine flows, PII and stable
+//! identifiers at Native flows, transfers at history-leak destinations.
 //!
 //! The flow generator deliberately embeds ground-truth leaks (visit
 //! URLs at all three granularities, device properties, high-entropy
-//! identifiers, sensitive URLs) so the order-sensitive detector paths
-//! (first-match PII fields, first-IP transfers, leak buckets) actually
-//! fire rather than vacuously matching on empty accumulators.
+//! identifiers, sensitive URLs) and sends them to first-party hosts,
+//! third parties and a DoH resolver in every flow class, so each
+//! detector fires and each of its filters is exercised.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use panoptes::fleet::shard_ranges;
 use panoptes_analysis::engine::{CrawlContext, CrawlPartials};
 use panoptes_analysis::facts::capture_facts;
-use panoptes_analysis::idle::IdlePartial;
 use panoptes_analysis::pii::PiiMatcher;
+use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_device::DeviceProperties;
+use panoptes_geo::{Country, GeoDb};
 use panoptes_http::method::Method;
-use panoptes_http::netaddr::IpAddr;
+use panoptes_http::netaddr::{Cidr, IpAddr};
 use panoptes_http::request::HttpVersion;
+use panoptes_http::url::registrable_domain;
 use panoptes_mitm::{Flow, FlowClass, FlowStore};
 
 /// Fixed visit ground truth: two ordinary sites and one sensitive one.
@@ -113,63 +114,78 @@ fn arb_flow() -> impl Strategy<Value = Flow> {
 }
 
 proptest! {
-    /// Splitting the fused crawl pass into any 1..=8 contiguous shards
-    /// and merging in shard order reproduces the sequential partials —
-    /// every detector, including the order-sensitive ones.
+    /// The fused fold over an arbitrary capture reports only findings
+    /// the capture can support. Each flow is captured `echoes` times in
+    /// a row (a beacon re-sent per visit), so identifiers recur often
+    /// enough to be reported.
     #[test]
-    fn crawl_partials_shard_merge_matches_sequential(
+    fn fused_findings_point_at_flows_that_can_carry_them(
         flows in proptest::collection::vec(arb_flow(), 0..80),
-        jobs in 1usize..=8,
+        echoes in 1usize..=3,
     ) {
         let store = FlowStore::new();
         for f in &flows {
-            store.push(f.clone());
+            for _ in 0..echoes {
+                store.push(f.clone());
+            }
         }
         let snap = store.snapshot();
         let facts = capture_facts(&snap);
         let ctx = context();
         let props = DeviceProperties::testbed_tablet();
         let matcher = PiiMatcher::new(&props);
-
-        let mut sequential = CrawlPartials::default();
+        let mut partials = CrawlPartials::default();
         for view in facts.views(snap.all()) {
-            sequential.observe(&view, &ctx, &matcher);
+            partials.observe(&view, &ctx, &matcher);
         }
 
-        let all = snap.all();
-        let mut merged = CrawlPartials::default();
-        for range in shard_ranges(all.len(), jobs) {
-            let mut shard = CrawlPartials::default();
-            for view in facts.views(all.slice(range)) {
-                shard.observe(&view, &ctx, &matcher);
-            }
-            merged.merge(shard);
+        // Every generated destination geolocates, so each transfer
+        // destination shows up in the row.
+        let mut geo = GeoDb::empty();
+        geo.insert(Cidr::parse("203.0.113.0/24").unwrap(), Country::new("RU"));
+        let leaks = partials.history.finish("b", ctx.total_visits);
+        let pii = partials.pii.finish("b");
+        let identifiers = partials.identifiers.finish("b", &steven_black_excerpt());
+        let transfers = partials.transfers.finish("b", &leaks, &geo);
+
+        let third_party: HashSet<&str> = flows
+            .iter()
+            .filter(|f| matches!(f.class, FlowClass::Native | FlowClass::Engine))
+            .filter(|f| !ctx.visited_domains.contains(registrable_domain(&f.host).as_str()))
+            .map(|f| f.host.as_str())
+            .collect();
+        let native: HashSet<&str> = flows
+            .iter()
+            .filter(|f| f.class == FlowClass::Native)
+            .map(|f| f.host.as_str())
+            .collect();
+        for leak in &leaks {
+            prop_assert!(
+                third_party.contains(leak.destination.as_str()),
+                "history leak to {} without a third-party Native/Engine flow there",
+                leak.destination
+            );
         }
-
-        prop_assert_eq!(merged, sequential);
-    }
-
-    /// The idle accumulator's shard merge is likewise order-exact.
-    #[test]
-    fn idle_partial_shard_merge_matches_sequential(
-        flows in proptest::collection::vec(arb_flow(), 0..80),
-        jobs in 1usize..=8,
-        start_us in 0u64..400_000_000,
-    ) {
-        let mut sequential = IdlePartial::default();
-        for f in &flows {
-            sequential.observe(f, start_us);
+        for (field, destination) in &pii.leaked {
+            prop_assert!(
+                native.contains(destination.as_str()),
+                "{field:?} leak to {destination} without a Native flow there"
+            );
         }
-
-        let mut merged = IdlePartial::default();
-        for range in shard_ranges(flows.len(), jobs) {
-            let mut shard = IdlePartial::default();
-            for f in &flows[range] {
-                shard.observe(f, start_us);
-            }
-            merged.merge(shard);
+        for sighting in &identifiers {
+            prop_assert!(
+                native.contains(sighting.destination.as_str()),
+                "identifier at {} without a Native flow there",
+                sighting.destination
+            );
         }
-
-        prop_assert_eq!(merged, sequential);
+        let leak_destinations: HashSet<&str> =
+            leaks.iter().map(|l| l.destination.as_str()).collect();
+        for (host, _) in transfers.iter().flat_map(|t| &t.destinations) {
+            prop_assert!(
+                leak_destinations.contains(host.as_str()),
+                "transfer to {host}, which is not a history-leak destination"
+            );
+        }
     }
 }

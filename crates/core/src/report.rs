@@ -24,13 +24,11 @@ pub struct CampaignSummary {
     pub volume_ratio: f64,
 }
 
-/// The mergeable accumulator form of [`CampaignSummary`]: feed it flows
-/// with [`observe`](SummaryPartial::observe) (in any shard of the
-/// capture), combine shards with [`merge`](SummaryPartial::merge), and
-/// [`finish`](SummaryPartial::finish) once at the end. Because every
-/// field is a plain sum, the result is independent of sharding — the
-/// same observe/merge/finish contract the analysis crate's detector
-/// partials follow.
+/// The accumulator form of [`CampaignSummary`]: feed it flows with
+/// [`observe`](SummaryPartial::observe) and
+/// [`finish`](SummaryPartial::finish) once at the end — the same
+/// observe/finish contract the analysis crate's detector partials
+/// follow.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SummaryPartial {
     engine_requests: u64,
@@ -55,15 +53,6 @@ impl SummaryPartial {
             FlowClass::PinnedOpaque => self.pinned_flows += 1,
             FlowClass::Blocked => {}
         }
-    }
-
-    /// Absorbs another shard's accumulator.
-    pub fn merge(&mut self, other: SummaryPartial) {
-        self.engine_requests += other.engine_requests;
-        self.native_requests += other.native_requests;
-        self.pinned_flows += other.pinned_flows;
-        self.engine_bytes_out += other.engine_bytes_out;
-        self.native_bytes_out += other.native_bytes_out;
     }
 
     /// Finalises the ratios.
@@ -130,32 +119,6 @@ mod tests {
     use panoptes_browsers::registry::profile_by_name;
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
-
-    #[test]
-    fn sharded_summary_matches_sequential() {
-        let world =
-            World::build(&GeneratorConfig { popular: 4, sensitive: 2, ..Default::default() });
-        let result = run_crawl(
-            &world,
-            &profile_by_name("Yandex").unwrap(),
-            &world.sites,
-            &CampaignConfig::default(),
-        );
-        let sequential = summarize(&result);
-        let snap = result.store.snapshot();
-        let flows = snap.all();
-        for shards in [1usize, 2, 3, 8] {
-            let mut merged = SummaryPartial::default();
-            for range in crate::fleet::shard_ranges(flows.len(), shards) {
-                let mut partial = SummaryPartial::default();
-                for flow in flows.slice(range) {
-                    partial.observe(flow);
-                }
-                merged.merge(partial);
-            }
-            assert_eq!(merged.finish(), sequential, "shards={shards}");
-        }
-    }
 
     #[test]
     fn summary_is_consistent_with_store() {

@@ -11,6 +11,7 @@ use crate::country::Country;
 use crate::trie::CidrTrie;
 
 /// An IP-to-country lookup service.
+#[derive(Clone)]
 pub struct GeoDb {
     trie: CidrTrie<Country>,
 }

@@ -3,6 +3,7 @@
 use panoptes_http::netaddr::{Cidr, IpAddr};
 
 /// One trie node; children indexed by the next address bit.
+#[derive(Clone)]
 struct Node<T> {
     value: Option<T>,
     children: [Option<Box<Node<T>>>; 2],
@@ -15,6 +16,7 @@ impl<T> Node<T> {
 }
 
 /// A longest-prefix-match map from CIDR blocks to values.
+#[derive(Clone)]
 pub struct CidrTrie<T> {
     root: Node<T>,
     len: usize,

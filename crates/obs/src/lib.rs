@@ -12,7 +12,7 @@
 //!   functions of the workload (event/flow/detector tallies — byte-
 //!   identical across worker counts and execution paths), *runtime*
 //!   metrics describe how this particular execution went (timings,
-//!   shard topology, process-lifetime cache state) and are excluded
+//!   fleet topology, process-lifetime cache state) and are excluded
 //!   from the byte-identity guarantee. [`report::render`] keeps the
 //!   two sections strictly apart so the deterministic half can be
 //!   asserted byte-identical.

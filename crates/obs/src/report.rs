@@ -6,7 +6,7 @@
 //! timing, topology or gauge data mixed in, which is what lets the
 //! determinism tests (and CI) assert that section byte-identical across
 //! `--jobs 1` and `--jobs 8`, and between execution paths. The
-//! **runtime** section holds everything else: timings, shard topology,
+//! **runtime** section holds everything else: timings, fleet topology,
 //! gauges, process-lifetime cache state.
 //!
 //! All formatting is integer-only (counts, sums, log2 buckets, and the

@@ -109,7 +109,7 @@ pub struct TraceEvent {
     /// from the installed context; absent when there was none (or when
     /// it would point at this event's own span).
     pub parent: Option<u64>,
-    /// Free-form annotation (unit label, shard index, …).
+    /// Free-form annotation (unit label, …).
     pub detail: Option<String>,
 }
 

@@ -4,7 +4,7 @@
 //! no matter how the study executes — sequentially, or through the
 //! study pipeline (capture→analysis overlap) at any worker count from 1
 //! to 8.
-//! Runtime-class metrics (timings, shard topology, process-lifetime
+//! Runtime-class metrics (timings, fleet topology, process-lifetime
 //! caches) are allowed to differ and are excluded by construction.
 //!
 //! Metrics are process-global and cumulative, so the whole check lives

@@ -60,16 +60,13 @@ echo "ok: no atom-to-String conversions in $capture_dirs"
 # Third gate: the fused study engine. Detectors must feed on the fused
 # pass (`engine::CrawlPartials`) instead of opening their own snapshot
 # iteration — every extra `store.snapshot()` walk outside the engine
-# and facts layers is another full pass over the capture. The legacy
-# standalone entry points are kept deliberately as the byte-identity
-# reference for the fused engine; they (and only they) opt out with a
-# `multipass-ok` comment.
+# and facts layers is another full pass over the capture, and a second
+# implementation of a detector. There is no opt-out.
 
 multipass_pattern='\.snapshot\(\)'
 engine_dirs="crates/analysis/src"
 
 multipass_offenders=$(grep -rnE "$multipass_pattern" $engine_dirs --include='*.rs' \
-    | grep -v 'multipass-ok' \
     | grep -v 'crates/analysis/src/engine\.rs' \
     | grep -v 'crates/analysis/src/facts\.rs' || true)
 
@@ -79,8 +76,8 @@ if [ -n "$multipass_offenders" ]; then
     echo "$multipass_offenders" >&2
     echo >&2
     echo "Feed the detector through engine::CrawlPartials (observe/" >&2
-    echo "merge/finish) so the study stays single-pass, or mark a" >&2
-    echo "deliberate legacy reference path with 'multipass-ok'." >&2
+    echo "finish) so the study stays single-pass, and project a" >&2
+    echo "standalone entry point out of engine::analyze_crawl." >&2
     exit 1
 fi
 
