@@ -32,7 +32,7 @@ use panoptes_simnet::clock::SimDuration;
 use crate::addomains::{AdDomainPartial, AdDomainRow};
 use crate::cost::{CostPartial, CostRow, EnergyModel};
 use crate::dns::{DnsPartial, DnsRow};
-use crate::facts::capture_facts;
+use crate::facts::{FlowFacts, FlowView};
 use crate::history::{summarize_from, BrowserLeakSummary, HistoryLeak, HistoryPartial};
 use crate::identifiers::{IdentifierPartial, IdentifierSighting};
 use crate::idle::{DestinationShare, IdlePartial, IdleTimeline};
@@ -144,12 +144,7 @@ impl CrawlPartials {
     /// test runs once for history *and* sensitive, one decoded-values
     /// sweep feeds both, and one raw-observations sweep feeds pii *and*
     /// identifiers.
-    pub fn observe(
-        &mut self,
-        view: &crate::facts::FlowView<'_>,
-        ctx: &CrawlContext<'_>,
-        pii: &PiiMatcher<'_>,
-    ) {
+    pub fn observe(&mut self, view: &FlowView<'_>, ctx: &CrawlContext<'_>, pii: &PiiMatcher<'_>) {
         let flow = view.flow();
         self.volume.observe(flow);
         self.addomains.observe(flow);
@@ -274,6 +269,11 @@ fn dns_partial(result: &CampaignResult) -> DnsPartial {
 
 /// Analyses one crawl campaign with the fused single-pass engine: one
 /// iteration over the snapshot feeds every detector.
+///
+/// The pass streams. Each flow's facts (parsed URL, observations,
+/// decodings) are computed at most once, shared by every detector, and
+/// dropped before the next flow, so the analysis retains nothing of
+/// the capture beyond the detectors' own accumulators.
 pub fn analyze_crawl(result: &CampaignResult, res: &AnalysisResources) -> CampaignAnalysis {
     let _span = panoptes_obs::trace::span_with("study.analyze_crawl", None, || {
         result.profile.name.to_string()
@@ -281,15 +281,11 @@ pub fn analyze_crawl(result: &CampaignResult, res: &AnalysisResources) -> Campai
     let ctx = CrawlContext::of(result);
     let matcher = PiiMatcher::new(&res.props);
     let snap = result.store.snapshot();
-    let facts = capture_facts(&snap);
-    panoptes_obs::count!(
-        "study.flows.observed",
-        Deterministic,
-        snap.all().len() as u64
-    );
+    panoptes_obs::count!("study.flows.observed", Deterministic, snap.len() as u64);
     let mut partials = CrawlPartials::default();
-    for view in facts.views(snap.all()) {
-        partials.observe(&view, &ctx, &matcher);
+    for flow in snap.iter() {
+        let facts = FlowFacts::default();
+        partials.observe(&FlowView::new(flow, &facts), &ctx, &matcher);
     }
     finish_crawl(result, partials, dns_partial(result), &ctx, res)
 }

@@ -1,37 +1,34 @@
-//! Parse-once flow facts shared by every analysis pass.
+//! Parse-once flow facts: each flow's derived data, computed at most
+//! once.
 //!
-//! A full study runs ~10 passes (history, PII, identifiers, sensitive,
-//! …) over each capture, and before this layer existed each pass
-//! re-parsed the same URLs, query strings and JSON bodies through
-//! [`crate::scan::observations`] — the same flow could be decomposed a
-//! dozen times. [`CaptureFacts`] memoises those derived results per
-//! flow, lazily: the first pass that asks for a flow's observations
-//! pays for the parse, every later pass (and every later ask within
-//! the same pass) gets the cached slice.
-//!
-//! The facts cache is parked in the sealed [`FlowSnapshot`]'s extension
-//! slot, so its lifetime is exactly the snapshot's: a mutated store
-//! seals a fresh snapshot and therefore a fresh, empty facts layer —
-//! stale derived data is impossible by construction.
-//!
-//! Facts slots are resolved **arithmetically**: the snapshot keeps its
-//! flows in one contiguous arena, so a `&Flow` maps to its slot by
-//! address offset — no hash lookup per flow, no per-record `Arc`.
-//!
-//! Passes consume flows through [`FlowView`], which pairs an arena
-//! `&Flow` with its facts slot:
+//! The fused crawl analysis ([`crate::engine::analyze_crawl`]) asks a
+//! flow for its parsed URL, its observations and their decodings from
+//! several detectors. [`FlowFacts`] computes each lazily and caches it,
+//! so one flow is parsed once however many detectors ask. The engine
+//! streams: it builds one [`FlowFacts`] per flow, folds that flow's
+//! [`FlowView`] into every detector, and drops the facts before the
+//! next flow, so nothing derived outlives the flow's turn.
 //!
 //! ```ignore
 //! let snap = result.store.snapshot();
-//! let facts = capture_facts(&snap);
-//! for view in facts.views(snap.native()) {
-//!     for obs in view.observations() { /* parsed once, ever */ }
+//! for flow in snap.iter() {
+//!     let facts = FlowFacts::default();
+//!     let view = FlowView::new(flow, &facts);
+//!     for obs in view.observations() { /* parsed once per flow */ }
 //! }
 //! ```
+//!
+//! [`CaptureFacts`] is the capture-wide form of the same memo: one slot
+//! per snapshot flow, parked in the sealed [`FlowSnapshot`]'s extension
+//! slot and resolved by address arithmetic over the contiguous arena.
+//! No analysis path builds it. The `bench_analysis` binary, the
+//! `analysis` criterion bench and the `perfbench trace-study` layer
+//! timings call [`capture_facts`] to time the parse on its own, and the
+//! unit tests below keep its memoisation honest.
 
 use std::sync::{Arc, OnceLock};
 
-use panoptes_http::url::Url;
+use panoptes_http::url::{registrable_suffix, Url};
 use panoptes_mitm::{Flow, FlowSnapshot, Flows};
 
 use crate::scan::{decodings, observations_with_url, Observation};
@@ -41,7 +38,6 @@ use crate::scan::{decodings, observations_with_url, Observation};
 pub struct FlowFacts {
     url: OnceLock<Option<Url>>,
     scan: OnceLock<ScanFacts>,
-    domain: OnceLock<String>,
 }
 
 /// The memoised output of [`crate::scan`] over one flow.
@@ -84,11 +80,6 @@ impl FlowFacts {
             .iter()
             .zip(scan.decodings.iter().map(Vec::as_slice))
     }
-
-    /// The destination's registrable domain, computed once.
-    pub fn registrable_domain(&self, flow: &Flow) -> &str {
-        self.domain.get_or_init(|| flow.registrable_domain())
-    }
 }
 
 /// One flow plus its facts slot — what an analysis pass iterates.
@@ -99,6 +90,12 @@ pub struct FlowView<'a> {
 }
 
 impl<'a> FlowView<'a> {
+    /// Pairs `flow` with the facts slot that caches its derived data.
+    /// The slot must only ever be paired with this one flow.
+    pub fn new(flow: &'a Flow, facts: &'a FlowFacts) -> FlowView<'a> {
+        FlowView { flow, facts }
+    }
+
     /// The underlying captured flow.
     pub fn flow(&self) -> &'a Flow {
         self.flow
@@ -119,9 +116,9 @@ impl<'a> FlowView<'a> {
         self.facts.decoded_observations(self.flow)
     }
 
-    /// The destination's registrable domain, memoised.
+    /// The destination's registrable domain, borrowed from the host.
     pub fn registrable_domain(&self) -> &'a str {
-        self.facts.registrable_domain(self.flow)
+        registrable_suffix(&self.flow.host)
     }
 }
 
@@ -136,7 +133,7 @@ impl std::ops::Deref for FlowView<'_> {
 pub struct CaptureFacts {
     /// The snapshot's flow arena, pinned so slot addresses stay valid
     /// for this layer's whole lifetime.
-    slab: Arc<[Flow]>,
+    slab: Arc<Vec<Flow>>,
     /// Parallel to the arena's capture-order flows.
     slots: Vec<FlowFacts>,
 }
@@ -168,7 +165,7 @@ impl CaptureFacts {
     /// When `flow` is not a record of the snapshot these facts were
     /// built from (a cross-capture mix-up is a programming error).
     pub fn of<'a>(&'a self, flow: &'a Flow) -> FlowView<'a> {
-        FlowView { flow, facts: &self.slots[self.slot_of(flow)] }
+        FlowView::new(flow, &self.slots[self.slot_of(flow)])
     }
 
     /// Views over any of the snapshot's flow windows (capture order, a
@@ -244,7 +241,10 @@ mod tests {
             for (obs, decs) in view.decoded_observations() {
                 assert_eq!(decs, crate::scan::decodings(&obs.value).as_slice());
             }
-            assert_eq!(view.registrable_domain(), view.flow().registrable_domain());
+            assert_eq!(
+                view.registrable_domain(),
+                panoptes_http::url::registrable_domain(&view.flow().host)
+            );
             assert_eq!(
                 view.url().map(|u| u.host().to_string()),
                 Url::parse(&view.flow().url).ok().map(|u| u.host().to_string())

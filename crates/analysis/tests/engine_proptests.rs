@@ -15,7 +15,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use panoptes_analysis::engine::{CrawlContext, CrawlPartials};
-use panoptes_analysis::facts::capture_facts;
+use panoptes_analysis::facts::{FlowFacts, FlowView};
 use panoptes_analysis::pii::PiiMatcher;
 use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_device::DeviceProperties;
@@ -130,13 +130,15 @@ proptest! {
             }
         }
         let snap = store.snapshot();
-        let facts = capture_facts(&snap);
         let ctx = context();
         let props = DeviceProperties::testbed_tablet();
         let matcher = PiiMatcher::new(&props);
+        // The fold `analyze_crawl` runs: one short-lived facts slot per
+        // flow.
         let mut partials = CrawlPartials::default();
-        for view in facts.views(snap.all()) {
-            partials.observe(&view, &ctx, &matcher);
+        for flow in snap.iter() {
+            let facts = FlowFacts::default();
+            partials.observe(&FlowView::new(flow, &facts), &ctx, &matcher);
         }
 
         // Every generated destination geolocates, so each transfer

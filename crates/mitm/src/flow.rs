@@ -187,11 +187,6 @@ impl Flow {
         340 + strings
     }
 
-    /// Registrable domain of the destination.
-    pub fn registrable_domain(&self) -> String {
-        panoptes_http::url::registrable_domain(&self.host)
-    }
-
     /// A header value by (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
         self.request_headers
@@ -250,7 +245,6 @@ mod tests {
     #[test]
     fn helpers() {
         let flow = sample();
-        assert_eq!(flow.registrable_domain(), "yandex.net");
         assert_eq!(flow.header("User-Agent"), Some("YaBrowser"));
         assert_eq!(flow.header("cookie"), None);
     }

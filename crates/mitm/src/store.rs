@@ -5,26 +5,29 @@
 //! exposes the two categories as views, plus JSONL persistence so
 //! campaigns can be archived and re-analysed offline.
 //!
-//! # Columnar capture arena
+//! # Capture arena
 //!
-//! A crawl's flows live in **one allocation region**: sealing a
+//! A crawl's flows live in **one allocation**: sealing a
 //! [`FlowSnapshot`] moves the appended flows into a contiguous
-//! `Arc<[Flow]>` slab, and every view — capture order, per-class,
-//! per-package — is a [`Flows`] window over that slab described by
+//! `Arc<Vec<Flow>>` slab, and every view — capture order or one
+//! traffic class — is a [`Flows`] window over that slab described by
 //! `u32` indices. No per-flow `Arc`, no pointer chasing between
-//! records: the ~10 analysis passes of a study walk one cache-friendly
-//! array, and the only refcount in the system is the slab's own.
+//! records: the fused analysis pass walks one cache-friendly array, and
+//! the only refcount in the system is the slab's own.
 //!
+//! The first seal of a capture copies nothing: the open `Vec<Flow>` the
+//! proxy appended to *becomes* the slab, trimmed to its length in place.
 //! Appending or clearing flows invalidates the memoised snapshot; the
-//! next [`FlowStore::snapshot`] call seals a fresh slab (re-using the
-//! already-sealed prefix). Snapshots are immutable, so a stale snapshot
-//! still describes exactly the capture it sealed.
+//! next [`FlowStore::snapshot`] call seals a fresh slab, cloning the
+//! already-sealed prefix (rare: captures are built up, sealed once,
+//! then analysed). Snapshots are immutable, so a stale snapshot still
+//! describes exactly the capture it sealed.
 //!
 //! The pre-snapshot cloning accessors ([`FlowStore::all`],
 //! [`FlowStore::native_flows`], …) remain as thin compatibility shims
 //! for tests and external tooling; production analysis code must use
 //! the snapshot (CI greps for regressions — see
-//! `tools/check-no-clone-analysis.sh`).
+//! `tools/check_no_cloning.sh`).
 
 use std::any::Any;
 use std::fmt;
@@ -32,17 +35,14 @@ use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use std::collections::HashMap;
-
 use parking_lot::Mutex;
 
 use panoptes_http::json;
-use panoptes_http::Atom;
 
 use crate::flow::{Flow, FlowClass};
 
 /// A window over a snapshot's flow arena: either a contiguous
-/// capture-order span or an index-selected view (a class or package).
+/// capture-order span or an index-selected view (a traffic class).
 ///
 /// `Flows` is `Copy` — two words of span plus the slab pointer — so it
 /// passes by value everywhere a `&[Arc<Flow>]` used to. Iteration
@@ -125,16 +125,15 @@ impl<'a> IntoIterator for Flows<'a> {
 }
 
 /// A sealed, immutable view of a capture: one contiguous flow arena
-/// plus per-class and per-package index vectors. Building a snapshot
-/// never deep-copies an already-sealed flow, and every view is a
-/// [`Flows`] window over the same slab.
+/// plus per-class index vectors. Building a snapshot never deep-copies
+/// an already-sealed flow, and every view is a [`Flows`] window over
+/// the same slab.
 pub struct FlowSnapshot {
-    slab: Arc<[Flow]>,
+    slab: Arc<Vec<Flow>>,
     engine: Vec<u32>,
     native: Vec<u32>,
     pinned: Vec<u32>,
     blocked: Vec<u32>,
-    by_package: HashMap<Atom, Vec<u32>>,
     /// Slot for a derived-data cache layered on top of the snapshot by a
     /// downstream crate (the analysis crate parks its parse-once
     /// `CaptureFacts` here). Lives and dies with the snapshot, so the
@@ -144,7 +143,7 @@ pub struct FlowSnapshot {
 
 impl Default for FlowSnapshot {
     fn default() -> FlowSnapshot {
-        FlowSnapshot::build(Arc::from(Vec::new()))
+        FlowSnapshot::build(Arc::default())
     }
 }
 
@@ -154,20 +153,18 @@ impl fmt::Debug for FlowSnapshot {
             .field("flows", &self.slab.len())
             .field("engine", &self.engine.len())
             .field("native", &self.native.len())
-            .field("packages", &self.by_package.len())
             .finish()
     }
 }
 
 impl FlowSnapshot {
-    fn build(slab: Arc<[Flow]>) -> FlowSnapshot {
+    fn build(slab: Arc<Vec<Flow>>) -> FlowSnapshot {
         let mut snap = FlowSnapshot {
             slab,
             engine: Vec::new(),
             native: Vec::new(),
             pinned: Vec::new(),
             blocked: Vec::new(),
-            by_package: HashMap::new(),
             extension: OnceLock::new(),
         };
         for (i, flow) in snap.slab.iter().enumerate() {
@@ -178,7 +175,6 @@ impl FlowSnapshot {
                 FlowClass::PinnedOpaque => snap.pinned.push(i),
                 FlowClass::Blocked => snap.blocked.push(i),
             }
-            snap.by_package.entry(flow.package.clone()).or_default().push(i);
         }
         snap
     }
@@ -186,7 +182,7 @@ impl FlowSnapshot {
     /// The underlying flow arena: every captured flow, capture order,
     /// one allocation. Derived caches (the analysis facts layer) clone
     /// this `Arc` to pin the slab and index it arithmetically.
-    pub fn arena(&self) -> &Arc<[Flow]> {
+    pub fn arena(&self) -> &Arc<Vec<Flow>> {
         &self.slab
     }
 
@@ -224,16 +220,6 @@ impl FlowSnapshot {
         }
     }
 
-    /// Flows sent by one app package (empty for unknown packages).
-    pub fn by_package(&self, package: &str) -> Flows<'_> {
-        self.view(self.by_package.get(package).map(Vec::as_slice).unwrap_or(&[]))
-    }
-
-    /// The packages observed in this capture, in arbitrary order.
-    pub fn packages(&self) -> impl Iterator<Item = &str> {
-        self.by_package.keys().map(Atom::as_str)
-    }
-
     /// Total number of flows in the snapshot.
     pub fn len(&self) -> usize {
         self.slab.len()
@@ -261,12 +247,11 @@ impl FlowSnapshot {
 }
 
 /// Flows not yet sealed plus the last sealed arena. Appends go to the
-/// open list; sealing moves them into a fresh contiguous slab (cloning
-/// only the already-sealed prefix, which is rare: captures are built
-/// up, sealed once, then analysed).
+/// open list; sealing moves them into a fresh contiguous slab (see
+/// [`FlowStore::seal`]).
 #[derive(Default)]
 struct StoreState {
-    sealed: Option<Arc<[Flow]>>,
+    sealed: Option<Arc<Vec<Flow>>>,
     open: Vec<Flow>,
 }
 
@@ -307,19 +292,30 @@ impl FlowStore {
     /// Moves any open flows into a contiguous arena and returns it.
     /// When nothing was appended since the last seal the existing slab
     /// is returned as-is — re-snapshotting is allocation-free.
-    fn seal(&self) -> Arc<[Flow]> {
-        let mut state = self.state.lock();
-        if state.open.is_empty() {
-            if let Some(sealed) = &state.sealed {
-                return sealed.clone();
+    ///
+    /// The first seal moves the open list itself into the arena and
+    /// trims its spare capacity; shrinking a large block reallocates in
+    /// place, so no flow is copied. Re-sealing after an append clones
+    /// the sealed prefix into a fresh arena, because older snapshots
+    /// still share the old one.
+    fn seal(&self) -> Arc<Vec<Flow>> {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let flows = match &state.sealed {
+            Some(sealed) if state.open.is_empty() => return sealed.clone(),
+            Some(sealed) => {
+                let mut flows = Vec::with_capacity(state.len());
+                flows.extend(sealed.iter().cloned());
+                flows.append(&mut state.open);
+                flows
             }
-        }
-        let mut flows: Vec<Flow> = Vec::with_capacity(state.len());
-        if let Some(sealed) = &state.sealed {
-            flows.extend(sealed.iter().cloned());
-        }
-        flows.append(&mut state.open);
-        let slab: Arc<[Flow]> = Arc::from(flows);
+            None => {
+                let mut flows = std::mem::take(&mut state.open);
+                flows.shrink_to_fit();
+                flows
+            }
+        };
+        let slab = Arc::new(flows);
         state.sealed = Some(slab.clone());
         slab
     }
@@ -365,11 +361,6 @@ impl FlowStore {
     /// Flows of one classification (cloning shim; see [`Self::snapshot`]).
     pub fn by_class(&self, class: FlowClass) -> Vec<Flow> {
         self.state.lock().iter().filter(|f| f.class == class).cloned().collect()
-    }
-
-    /// Flows sent by one app package (cloning shim; see [`Self::snapshot`]).
-    pub fn by_package(&self, package: &str) -> Vec<Flow> {
-        self.state.lock().iter().filter(|f| f.package == package).cloned().collect()
     }
 
     /// Total number of captured flows.
@@ -473,7 +464,6 @@ mod tests {
         assert_eq!(store.engine_flows().len(), 1);
         assert_eq!(store.native_flows().len(), 2);
         assert_eq!(store.by_class(FlowClass::PinnedOpaque).len(), 1);
-        assert_eq!(store.by_package("b").len(), 2);
     }
 
     #[test]
@@ -499,14 +489,6 @@ mod tests {
         }
         assert_eq!(snap.engine().len(), 1);
         assert_eq!(snap.native().len(), 2);
-        for pkg in ["a", "b"] {
-            let view: Vec<Flow> = snap.by_package(pkg).iter().cloned().collect();
-            assert_eq!(view, store.by_package(pkg), "{pkg}");
-        }
-        assert!(snap.by_package("unknown").is_empty());
-        let mut pkgs: Vec<&str> = snap.packages().collect();
-        pkgs.sort_unstable();
-        assert_eq!(pkgs, vec!["a", "b"]);
     }
 
     #[test]
@@ -532,11 +514,10 @@ mod tests {
         store.push(flow(1, FlowClass::Native, "p"));
         store.push(flow(2, FlowClass::Engine, "p"));
         let snap = store.snapshot();
-        // Class and package views resolve to the very same records in
-        // the capture-order arena — identical addresses, no copies.
+        // Class views resolve to the very same records in the
+        // capture-order arena — identical addresses, no copies.
         let all = snap.all();
         assert!(std::ptr::eq(&all[0], &snap.native()[0]));
-        assert!(std::ptr::eq(&all[0], &snap.by_package("p")[0]));
         assert!(std::ptr::eq(&all[1], &snap.engine()[0]));
         // The arena is exactly the capture-order flows.
         assert_eq!(snap.arena().len(), 2);

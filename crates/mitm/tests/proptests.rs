@@ -161,17 +161,6 @@ proptest! {
                 flows.iter().filter(|f| f.class == class).cloned().collect();
             prop_assert_eq!(view, naive, "class {:?}", class);
         }
-
-        let packages: std::collections::BTreeSet<&str> =
-            flows.iter().map(|f| f.package.as_str()).collect();
-        for pkg in packages {
-            let view: Vec<Flow> =
-                snap.by_package(pkg).iter().cloned().collect();
-            let naive: Vec<Flow> =
-                flows.iter().filter(|f| f.package == pkg).cloned().collect();
-            prop_assert_eq!(view, naive, "package {}", pkg);
-        }
-        prop_assert!(snap.by_package("no-such-package").is_empty());
     }
 
     /// The streaming JSONL writer and the buffered exporter emit the

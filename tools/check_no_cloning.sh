@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Guards the zero-copy analysis path: the analysis/core/bench crates
-# must read captures through `FlowStore::snapshot()` (shared
-# `Arc<Flow>` records), never through the deep-cloning shims that the
+# must read captures through `FlowStore::snapshot()` (one shared flow
+# arena), never through the deep-cloning shims that the
 # mitm crate keeps for tests and for the pre-refactor benchmark
 # baseline.
 #
@@ -33,7 +33,7 @@ if [ -n "$offenders" ]; then
     echo "$offenders" >&2
     echo >&2
     echo "Use store.snapshot() and its borrowed views instead" >&2
-    echo "(FlowSnapshot::all/engine/native/by_class/by_package)," >&2
+    echo "(FlowSnapshot::all/iter/engine/native/by_class)," >&2
     echo "or mark an intentional baseline with a 'clone-ok' comment." >&2
     exit 1
 fi
